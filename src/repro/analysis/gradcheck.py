@@ -177,6 +177,32 @@ def _conv2d_strided():
     return forward, [("x", x)] + _params(layer)
 
 
+@case("conv2d_1x1")
+def _conv2d_1x1():
+    rng = np.random.default_rng(25)
+    layer = nn.Conv2d(3, 2, 1, rng=rng)
+    x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(layer(x), np.random.default_rng(26))
+
+    return forward, [("x", x)] + _params(layer)
+
+
+@case("conv2d_stride1_batched")
+def _conv2d_stride1_batched():
+    # Unpadded, non-square and batched: a shifted slice that crossed a row
+    # or image boundary would mix neighbouring samples.
+    rng = np.random.default_rng(27)
+    layer = nn.Conv2d(2, 3, 3, stride=1, padding=0, rng=rng)
+    x = Tensor(rng.normal(size=(2, 2, 4, 6)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(layer(x), np.random.default_rng(28))
+
+    return forward, [("x", x)] + _params(layer)
+
+
 @case("batchnorm2d")
 def _batchnorm2d():
     rng = np.random.default_rng(31)

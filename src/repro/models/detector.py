@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Conv2d, Module, Tensor, losses
+from ..nn import Conv2d, Module, Tensor, losses, no_grad
 from .backbone import Backbone
 
 
@@ -170,7 +170,10 @@ class TinyDetector(Module):
         """Convenience: forward + decode in eval mode on a numpy batch."""
         was_training = self.training
         self.eval()
-        raw = self.forward(Tensor(images)).data
-        if was_training:
-            self.train()
+        try:
+            with no_grad():
+                raw = self.forward(Tensor(images)).data
+        finally:
+            if was_training:
+                self.train()
         return self.decode(raw, conf_threshold=conf_threshold)

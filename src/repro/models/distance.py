@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..data.driving import MAX_DISTANCE
-from ..nn import Linear, Module, ReLU, Sequential, Tensor, losses
+from ..nn import Linear, Module, ReLU, Sequential, Tensor, losses, no_grad
 from ..nn import functional as F
 from .backbone import Backbone
 
@@ -66,10 +66,13 @@ class DistanceRegressor(Module):
         raise ValueError(f"unknown attack mode {mode!r}")
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Distances in metres for a numpy batch, eval mode."""
+        """Distances in metres for a numpy batch, eval mode, no tape."""
         was_training = self.training
         self.eval()
-        out = self.forward(Tensor(images)).data.reshape(-1) * MAX_DISTANCE
-        if was_training:
-            self.train()
-        return out
+        try:
+            with no_grad():
+                out = self.forward(Tensor(images)).data
+        finally:
+            if was_training:
+                self.train()
+        return out.reshape(-1) * MAX_DISTANCE

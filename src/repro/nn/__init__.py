@@ -14,12 +14,13 @@ from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, ConvBlock,
                      ReLU, Sequential, SiLU, Tanh)
 from .optim import SGD, Adam, AdamW, CosineSchedule, StepSchedule, clip_grad_norm
 from .tensor import (Tensor, capture_rng, concatenate, default_dtype,
-                     precision, restore_rng, set_default_dtype, stack, where)
+                     no_grad, precision, restore_rng, set_default_dtype,
+                     stack, where)
 
 __all__ = [
     "Tensor", "concatenate", "stack", "where",
     "capture_rng", "restore_rng",
-    "default_dtype", "precision", "set_default_dtype",
+    "default_dtype", "precision", "set_default_dtype", "no_grad",
     "Module", "Sequential", "Conv2d", "Linear", "BatchNorm1d", "BatchNorm2d",
     "MaxPool2d", "AvgPool2d", "Dropout", "Flatten", "ReLU", "LeakyReLU",
     "SiLU", "Tanh", "ConvBlock",

@@ -1,7 +1,8 @@
 """Differentiable neural-network primitives built on :class:`repro.nn.Tensor`.
 
-Convolution and pooling are implemented with the im2col technique so that the
-heavy lifting happens inside numpy's BLAS-backed matmul.  Each function
+Convolution and pooling hand their heavy lifting to numpy's BLAS-backed
+``matmul``: stride-1 convolutions as shifted GEMMs over a padded copy of the
+input, strided convolutions and pooling through im2col.  Each function
 constructs a :class:`Tensor` with a custom backward closure rather than being
 composed from elementwise primitives, which keeps both the forward and the
 backward pass fast enough to train the paper's models on a CPU.
@@ -66,36 +67,102 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
     return padded
 
 
+def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
+                    padding: Tuple[int, int]) -> Tuple[np.ndarray, int, list]:
+    """Zero-pad ``x`` into one channel-major, row-flattened buffer.
+
+    Returns the ``(C, N*Hp*Wp)`` buffer, the span of output positions every
+    tap can read, and each tap's flat offset ``i*Wp + j``.  Output position
+    ``p`` of a stride-1 conv is the sum over taps of
+    ``w[:, :, i, j] @ buffer[:, p + offset]``; positions whose row or column
+    run into the padding (or into the next image) are garbage and cropped.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    ph, pw = padding
+    hp, wp = h + 2 * ph, w + 2 * pw
+    padded = np.zeros((c, n, hp, wp), dtype=x.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    span = n * hp * wp - offsets[-1]
+    return padded.reshape(c, n * hp * wp), span, offsets
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
-    """2-D cross-correlation, ``x``: (N,C,H,W), ``weight``: (F,C,kh,kw)."""
+    """2-D cross-correlation, ``x``: (N,C,H,W), ``weight``: (F,C,kh,kw).
+
+    Stride-1 convs run as kh*kw shifted GEMMs over one padded copy of the
+    input (see :func:`_shifted_layout`), in both passes, with no im2col
+    buffer.  Strided convs gather patches with :func:`im2col` and run one
+    GEMM per pass.
+    """
     stride = _pair(stride)
     padding = _pair(padding)
-    f, c, kh, kw = weight.shape
-    cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
-    w2d = weight.data.reshape(f, c * kh * kw)
-    out = np.einsum("fk,nkp->nfp", w2d, cols, optimize=True)
-    out = out.reshape(x.shape[0], f, out_h, out_w)
+    n, c, h, w = x.shape
+    f, _, kh, kw = weight.shape
+    ph, pw = padding
+    dtype = x.data.dtype
+    shifted = stride == (1, 1)
+    if shifted:
+        hp, wp = h + 2 * ph, w + 2 * pw
+        out_h, out_w = hp - kh + 1, wp - kw + 1
+        flat, span, offsets = _shifted_layout(x.data, (kh, kw), padding)
+        taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
+        full = np.empty((f, flat.shape[1]), dtype=dtype)
+        acc, product = full[:, :span], np.empty((f, span), dtype=dtype)
+        np.matmul(taps[0], flat[:, :span], out=acc)
+        for tap, offset in zip(taps[1:], offsets[1:]):
+            acc += np.matmul(tap, flat[:, offset:offset + span], out=product)
+        out = np.empty((n, f, out_h, out_w), dtype=dtype)
+        np.copyto(out, full.reshape(f, n, hp, wp)[:, :, :out_h, :out_w]
+                  .transpose(1, 0, 2, 3))
+    else:
+        cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
+        w2d = weight.data.reshape(f, c * kh * kw)
+        # Laid out (N, P, F) in memory.  BatchNorm sums its batch
+        # statistics in memory order, so this layout pins the bits of the
+        # trained regressor and of every cached result built on it.
+        out = (np.matmul(cols.transpose(0, 2, 1), w2d.T).transpose(0, 2, 1)
+               .reshape(n, f, out_h, out_w))
     if bias is not None:
-        out = out + bias.data.reshape(1, f, 1, 1)
-    x_shape = x.shape
+        out += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        g2d = g.reshape(g.shape[0], f, out_h * out_w)
-        if weight.requires_grad:
-            grad_w = np.einsum("nfp,nkp->fk", g2d, cols, optimize=True)
-            _accumulate(weight, grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            grad_cols = np.einsum("fk,nfp->nkp", w2d, g2d, optimize=True)
-            grad_x = col2im(grad_cols, x_shape, (kh, kw), stride, padding,
-                            (out_h, out_w))
-            _accumulate(x, grad_x)
+        if shifted:
+            g_full = np.zeros((f, n, hp, wp), dtype=dtype)
+            g_full[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
+            g_span = g_full.reshape(f, n * hp * wp)[:, :span]
+            if weight.requires_grad:
+                grad_taps = np.stack([g_span @ flat[:, offset:offset + span].T
+                                      for offset in offsets])
+                _accumulate(weight, grad_taps.reshape(kh, kw, f, c)
+                            .transpose(2, 3, 0, 1))
+            if x.requires_grad:
+                grad_flat = np.zeros_like(flat)
+                product = np.empty((c, span), dtype=dtype)
+                for tap, offset in zip(taps, offsets):
+                    grad_flat[:, offset:offset + span] += np.matmul(
+                        tap.T, g_span, out=product)
+                grad_x = grad_flat.reshape(c, n, hp, wp)[:, :, ph:ph + h,
+                                                         pw:pw + w]
+                _accumulate(x, grad_x.transpose(1, 0, 2, 3))
+        else:
+            g2d = g.reshape(n, f, out_h * out_w)
+            if weight.requires_grad:
+                grad_w = (g2d.transpose(1, 0, 2).reshape(f, -1)
+                          @ cols.transpose(1, 0, 2).reshape(c * kh * kw, -1).T)
+                _accumulate(weight, grad_w.reshape(weight.shape))
+            if x.requires_grad:
+                grad_cols = np.matmul(w2d.T, g2d)
+                _accumulate(x, col2im(grad_cols, (n, c, h, w), (kh, kw),
+                                      stride, padding, (out_h, out_w)))
 
-    return Tensor._make(out.astype(x.data.dtype, copy=False), parents, backward)
+    return Tensor._make(out.astype(dtype, copy=False), parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:

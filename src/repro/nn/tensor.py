@@ -15,6 +15,10 @@ graph code under ``float64`` so central differences resolve below 1e-4
 relative error.  Broadcasting follows numpy semantics; gradients of
 broadcast operands are reduced back to the operand's shape (see
 :func:`_unbroadcast`).
+
+Recording is also a process-global switch: inside :func:`no_grad` ops
+record no tape, so inference keeps no parents and no backward closures,
+and each op's saved buffers are freed as soon as the op returns.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from . import hooks
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
+_GRAD_ENABLED = True
 
 
 def default_dtype() -> np.dtype:
@@ -55,6 +60,25 @@ def precision(dtype) -> Iterator[None]:
         yield
     finally:
         set_default_dtype(previous)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run inference without recording the tape.
+
+    Op outputs get ``requires_grad=False`` and no parents, so nothing pins
+    an op's saved buffers past its return.  The tape sanitizer still sees
+    every forward output.  Nests, and restores the previous state on exit
+    even when the body raises.  Like :func:`precision`, the switch is
+    process-global.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -145,7 +169,7 @@ class Tensor:
         check = hooks.TAPE_CHECK
         if check is not None:
             check("forward", data, backward)
-        requires = any(p.requires_grad for p in parents)
+        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(p for p in parents if p.requires_grad)

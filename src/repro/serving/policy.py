@@ -7,12 +7,17 @@ Everything here is deterministic by construction:
   :func:`repro.runtime.parallel.stable_seed`, so two executions of the
   same serve run back off by bit-identical delays.
 * :class:`LatencyModel` — per-(slot, seq) virtual service times.  Real
-  inference on this hardware is microseconds and wall-clock readings are
+  inference is milliseconds: on a 2-core Xeon with one BLAS thread, a
+  batch-1 replica call in the ``serve-chaos`` benchmark takes about
+  2–3 ms at p50, and a ``closed-loop`` ACC tick (render, median blur,
+  CAP-Attack, predict, control) about 16–26 ms, depending on the load
+  on the host.  Wall-clock readings are
   banned from results (lint R002), so the broker runs on a *virtual
   clock*: service times are drawn from a seeded long-tailed distribution
   (lognormal body + occasional straggler) that gives deadlines, hedging
   and queue modeling something realistic to push against while keeping
-  runs bit-reproducible.
+  runs bit-reproducible.  The defaults are not yet fitted to those
+  measurements.
 * :class:`LatencyTracker` — streaming percentile estimate over completed
   request latencies; the broker hedges a request once its primary has been
   outstanding longer than the tracked percentile (the classic

@@ -2,7 +2,7 @@
 # Tiered CI entry point:
 #
 #   tools/ci.sh          # smoke tier, then the fault-robustness tier
-#   tools/ci.sh full     # ... then the full test suite
+#   tools/ci.sh full     # ... then the full test suite and the benchmark harness tests
 #   tools/ci.sh analyze  # static lint + analysis tier + sanitized smoke run
 #   tools/ci.sh resume   # kill a journaled run mid-grid, resume, diff tables
 #   tools/ci.sh serve    # chaos serve drill + serving lint + serving suite
@@ -12,7 +12,9 @@
 #   sensor-fault models, watchdog gating + reacquisition, closed-loop
 #   graceful degradation, runtime crash/hang/retry recovery, and the
 #   serial/parallel/cached determinism guarantees under active fault plans.
-# Tier 3 (full, opt-in): everything.
+# Tier 3 (full, opt-in): everything, then the benchmark harness tests in
+#   perfbench/ (wrapper restore, output bands, metric names); the tests that
+#   need the benchmark's trained zoo skip when it is absent.
 # Analyze tier (opt-in): the repro.analysis toolchain — AST lint over
 #   src/repro, tests and benchmarks (intentionally-broken lint fixtures
 #   excluded), the env-var table drift check, the determinism audit with
@@ -78,4 +80,7 @@ python -m pytest -m faults -q
 if [[ "${1:-}" == "full" ]]; then
     echo "== CI tier 3: full suite =="
     python -m pytest -q
+
+    echo "== CI tier 3: benchmark harness =="
+    python -m pytest perfbench -q
 fi
