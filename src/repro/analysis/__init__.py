@@ -10,7 +10,7 @@ makes them machine-checked:
   closure-unsafe grid cells, float equality), run in CI via
   ``python -m repro.cli analyze lint src/repro``;
 * :mod:`~repro.analysis.sanitize` — runtime sanitizers enabled through
-  ``REPRO_SANITIZE=nan,alias,grad,determinism``: a tape sanitizer that
+  ``REPRO_SANITIZE=nan,alias``: a tape sanitizer that
   pinpoints the op/module where a NaN or Inf first appears, and an aliasing
   detector for optimizer scratch buffers;
 * :mod:`~repro.analysis.gradcheck` — sampled central-difference gradient

@@ -17,10 +17,10 @@ Enabled with ``REPRO_SANITIZE=<modes>`` (comma-separated) or explicitly via
   rewrite keeps its hot loop allocation-free by updating through those
   buffers; if one ever aliases ``p.data``/``p.grad``, updates silently
   corrupt parameters — exactly the bug class this guards.
-* ``grad`` / ``determinism`` — offline harnesses
-  (:mod:`repro.analysis.gradcheck`, :mod:`repro.analysis.determinism`)
-  run through ``python -m repro.analysis``; listing them here documents
-  intent but installs no process hooks.
+
+The offline harnesses (:mod:`repro.analysis.gradcheck`,
+:mod:`repro.analysis.determinism`) are not modes: they run through
+``python -m repro.cli analyze`` and install no process hooks.
 
 The hooks live in :mod:`repro.nn.hooks` so ``repro.nn`` never has to
 import this package; when no sanitizer is installed the engine pays one
@@ -42,7 +42,7 @@ from ..nn import hooks
 from ..runtime import env
 
 #: every recognised REPRO_SANITIZE mode
-KNOWN_MODES = ("nan", "alias", "grad", "determinism")
+KNOWN_MODES = ("nan", "alias")
 
 #: optimizer attributes holding per-parameter scratch storage
 _SCRATCH_ATTRS = ("_velocity", "_scratch", "_m", "_v", "_buf1", "_buf2")

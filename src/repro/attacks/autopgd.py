@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .base import Attack, LossFn, input_gradient
-from ..nn import Tensor
+from ..nn import Tensor, no_grad
 
 
 def _checkpoints(n_iter: int) -> List[int]:
@@ -61,6 +61,18 @@ class AutoPGDAttack(Attack):
 
     def perturb(self, images: np.ndarray, loss_fn: LossFn,
                 mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Return the best-loss iterate.
+
+        Each gradient query also returns the loss of the point it
+        differentiates, so iterate *k*'s loss comes from the query that
+        iterate *k + 1* steps from, and the best iterate's gradient is kept
+        beside it for a checkpoint reset.  Only the last iterate needs a
+        loss-only forward, run without a tape: ``n_iter`` backward sweeps
+        and ``n_iter + 1`` forwards per batch.  On a train-mode model,
+        BatchNorm running statistics see one EMA update per forward, 21
+        per batch at the default ``n_iter=20``; the returned batch does not
+        depend on them.
+        """
         x = images.astype(np.float32)
         if self.random_start:
             start = x + self.eps * self._rng.uniform(
@@ -70,12 +82,10 @@ class AutoPGDAttack(Attack):
         x_adv = self._project(start, x, mask)
         step = 2.0 * self.eps
 
-        def loss_of(arr: np.ndarray) -> float:
-            return float(loss_fn(Tensor(arr)).data)
-
         x_prev = x_adv.copy()
         best = x_adv.copy()
-        best_loss = loss_of(x_adv)
+        best_loss, grad = input_gradient(x_adv, loss_fn, mask=mask)
+        best_grad = grad
         loss_at_last_checkpoint = best_loss
         step_at_last_checkpoint = step
         improving_steps = 0
@@ -83,7 +93,6 @@ class AutoPGDAttack(Attack):
         since_checkpoint = 0
 
         for iteration in range(1, self.n_iter + 1):
-            grad = input_gradient(x_adv, loss_fn, mask=mask)
             z = self._project(x_adv + step * np.sign(grad), x, mask)
             x_next = self._project(
                 x_adv + self.momentum * (z - x_adv)
@@ -91,10 +100,16 @@ class AutoPGDAttack(Attack):
             x_prev = x_adv
             x_adv = x_next
             since_checkpoint += 1
-            current = loss_of(x_adv)
+            if iteration < self.n_iter:
+                current, grad = input_gradient(x_adv, loss_fn, mask=mask)
+            else:
+                with no_grad():
+                    current = float(loss_fn(Tensor(x_adv)).data)
+                grad = None
             if current > best_loss:
                 best_loss = current
                 best = x_adv.copy()
+                best_grad = grad
                 improving_steps += 1
             if iteration in checkpoints:
                 # Condition 1: fewer than 75% of steps since the last
@@ -107,6 +122,7 @@ class AutoPGDAttack(Attack):
                     step = max(step / 2.0, self.eps / 64.0)
                     x_adv = best.copy()
                     x_prev = best.copy()
+                    grad = best_grad
                 step_at_last_checkpoint = step
                 loss_at_last_checkpoint = best_loss
                 improving_steps = 0
@@ -137,7 +153,7 @@ class PGDAttack(Attack):
             -1, 1, size=x.shape).astype(np.float32) * (mask if mask is not None else 1.0),
             0.0, 1.0).astype(np.float32)
         for _ in range(self.n_iter):
-            grad = input_gradient(x_adv, loss_fn, mask=mask)
+            _, grad = input_gradient(x_adv, loss_fn, mask=mask)
             x_adv = x_adv + self.step * np.sign(grad)
             delta = np.clip(x_adv - x, -self.eps, self.eps)
             if mask is not None:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..models.detector import TinyDetector
 from ..models.distance import DistanceRegressor
-from ..nn import Tensor
+from ..nn import Module, Tensor
 
 LossFn = Callable[[Tensor], Tensor]
 
@@ -88,20 +89,26 @@ class BatchLossAdapter:
     """A loss over an image batch that can also be sliced per image.
 
     Per-example attacks (SimBA, CAP) need the loss restricted to one image;
-    :meth:`for_index` returns that restriction.
+    :meth:`for_index` returns that restriction.  ``model`` is the network
+    the loss runs through, when there is one: gradient queries freeze its
+    parameters (see :func:`input_gradient`).
     """
 
     def __init__(self, batch_fn: Callable[[Tensor], Tensor],
-                 single_fn: Callable[[Tensor, int], Tensor]):
+                 single_fn: Callable[[Tensor, int], Tensor],
+                 model: Optional[Module] = None):
         self._batch_fn = batch_fn
         self._single_fn = single_fn
+        self.model = model
 
     def __call__(self, x: Tensor) -> Tensor:
         return self._batch_fn(x)
 
-    def for_index(self, index: int) -> LossFn:
+    def for_index(self, index: int) -> "BatchLossAdapter":
         """Loss adapter for image ``index`` alone (expects a (1,C,H,W) batch)."""
-        return lambda x: self._single_fn(x, index)
+        single_fn = self._single_fn
+        return BatchLossAdapter(lambda x: single_fn(x, index),
+                                lambda x, _: single_fn(x, index), self.model)
 
 
 def detector_loss_fn(model: TinyDetector, targets: Sequence[Sequence],
@@ -116,11 +123,11 @@ def detector_loss_fn(model: TinyDetector, targets: Sequence[Sequence],
     if mode == "suppress":
         return BatchLossAdapter(
             lambda x: model.suppression_loss(x, targets),
-            lambda x, i: model.suppression_loss(x, [targets[i]]))
+            lambda x, i: model.suppression_loss(x, [targets[i]]), model)
     if mode == "full":
         return BatchLossAdapter(
             lambda x: model.loss(x, targets),
-            lambda x, i: model.loss(x, [targets[i]]))
+            lambda x, i: model.loss(x, [targets[i]]), model)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -136,7 +143,8 @@ def regressor_loss_fn(model: DistanceRegressor,
     distances = np.asarray(true_distances_m, dtype=np.float32)
     return BatchLossAdapter(
         lambda x: model.attack_loss(x, distances, mode=mode),
-        lambda x, i: model.attack_loss(x, distances[i:i + 1], mode=mode))
+        lambda x, i: model.attack_loss(x, distances[i:i + 1], mode=mode),
+        model)
 
 
 def targeted_regressor_loss_fn(model: DistanceRegressor,
@@ -155,7 +163,7 @@ def targeted_regressor_loss_fn(model: DistanceRegressor,
         prediction = model.forward(x)
         return -1.0 * ((prediction - Tensor(np.array([[target]]))) ** 2).mean()
 
-    return BatchLossAdapter(objective, lambda x, i: objective(x))
+    return BatchLossAdapter(objective, lambda x, i: objective(x), model)
 
 
 def slice_loss_fn(loss_fn: LossFn, index: int) -> LossFn:
@@ -169,9 +177,30 @@ def slice_loss_fn(loss_fn: LossFn, index: int) -> LossFn:
     return loss_fn
 
 
+def frozen_model(loss_fn: LossFn) -> ContextManager:
+    """``loss_fn.model.frozen()`` when the loss carries a model, else a no-op.
+
+    Attacks differentiate w.r.t. the input only; inside this context a
+    backward sweep computes no weight gradient (see
+    :meth:`repro.nn.Module.frozen`).
+    """
+    model = getattr(loss_fn, "model", None)
+    return model.frozen() if model is not None else nullcontext()
+
+
 def input_gradient(images: np.ndarray, loss_fn: LossFn,
-                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient of the adversarial loss w.r.t. the input pixels.
+                   mask: Optional[np.ndarray] = None
+                   ) -> Tuple[float, np.ndarray]:
+    """The adversarial loss at ``images`` (a float) and its input gradient.
+
+    One forward and one backward sweep return both, so an attack that also
+    needs the loss of the point it differentiates (Auto-PGD) pays no second
+    forward.  When ``loss_fn`` carries a ``model`` (every
+    :class:`BatchLossAdapter` built by the factories here), both sweeps
+    run inside ``model.frozen()`` (:func:`frozen_model`): the backward
+    computes the input gradient and no weight gradient, and ``param.grad``
+    is left untouched.  Plain closures run with the parameters as they
+    are.  The gradient is multiplied by ``mask`` when one is given.
 
     Under ``REPRO_SANITIZE=nan`` (installed via
     :func:`repro.analysis.sanitize.install`), a non-finite input gradient
@@ -180,15 +209,16 @@ def input_gradient(images: np.ndarray, loss_fn: LossFn,
     """
     from ..analysis import sanitize
 
-    x = Tensor(images.copy(), requires_grad=True)
-    loss = loss_fn(x)
-    loss.backward()
+    with frozen_model(loss_fn):
+        x = Tensor(images.copy(), requires_grad=True)
+        loss = loss_fn(x)
+        loss.backward()
     grad = x.grad
     if "nan" in sanitize.installed_modes():
         sanitize.check_finite(grad, "adversarial input gradient")
     if mask is not None:
         grad = grad * mask
-    return grad
+    return float(loss.data), grad
 
 
 def apply_mask(perturbation: np.ndarray,

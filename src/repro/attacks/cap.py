@@ -92,7 +92,7 @@ class CAPAttack(Attack):
             adv = batch.copy()
             adv[0, :, y1:y2, x1:x2] = np.clip(
                 adv[0, :, y1:y2, x1:x2] + patch, 0.0, 1.0)
-            grad = input_gradient(adv, loss_fn, mask=mask)
+            _, grad = input_gradient(adv, loss_fn, mask=mask)
             grad_patch = grad[0, :, y1:y2, x1:x2]
             attribution = self._attribution_mask(grad_patch)
             ascent = self.step * np.sign(grad_patch) * attribution

@@ -33,7 +33,7 @@ class FGSMAttack(Attack):
 
     def perturb(self, images: np.ndarray, loss_fn: LossFn,
                 mask: Optional[np.ndarray] = None) -> np.ndarray:
-        grad = input_gradient(images, loss_fn, mask=None)
+        _, grad = input_gradient(images, loss_fn, mask=None)
         if self.norm == "linf":
             step = self.eps * np.sign(grad)
         else:

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import Attack, LossFn
+from .base import Attack, LossFn, frozen_model
 from ..nn import Adam, Tensor
 
 # A small "printable" palette: saturated primaries plus black/white.  NPS
@@ -120,38 +120,45 @@ class RP2Attack(Attack):
         optimizer = Adam([delta], lr=self.lr)
         mask_t = Tensor(np.broadcast_to(mask, x.shape).copy())
 
-        for _ in range(self.n_iter):
-            optimizer.zero_grad()
-            masked_delta = delta * mask_t
-            # Expectation over transformations of the *negative* task loss
-            # (we maximize task loss, so we minimize its negative).
-            task_terms = []
-            for _ in range(self.n_transforms):
-                brightness, dy, dx, sigma = self._sample_transform()
-                moved = Tensor(self._shift(masked_delta.data, dy, dx))
-                # Straight-through: transformation applied to data, gradient
-                # flows through the un-shifted delta (small shifts, so the
-                # approximation is tight and keeps the graph cheap).
-                perturbed = Tensor(np.clip(
-                    brightness * x + moved.data
-                    + self._rng.normal(0, sigma, x.shape), 0, 1
-                ).astype(np.float32)) + (masked_delta - masked_delta.detach())
-                task_terms.append(loss_fn(perturbed))
-            task_loss = task_terms[0]
-            for term in task_terms[1:]:
-                task_loss = task_loss + term
-            task_loss = task_loss * (1.0 / self.n_transforms)
-            norm_term = masked_delta.abs().mean()
-            nps_term = non_printability_score((Tensor(x) + masked_delta).clip(0, 1))
-            objective = (-1.0 * task_loss
-                         + self.lambda_norm * norm_term
-                         + self.lambda_nps * nps_term)
-            objective.backward()
-            optimizer.step()
-            # Keep the sticker physically plausible and the image feasible.
-            delta.data[...] = np.clip(delta.data, -self.eps, self.eps)
-            delta.data[...] = np.clip(x + delta.data * mask, 0, 1) - x
-            delta.data[...] = delta.data * mask
+        # Adam updates only delta: the model's weight gradients would never
+        # be read, so the sweeps run with its parameters frozen.
+        with frozen_model(loss_fn):
+            for _ in range(self.n_iter):
+                optimizer.zero_grad()
+                masked_delta = delta * mask_t
+                # Expectation over transformations of the *negative* task
+                # loss (we maximize task loss, so we minimize its negative).
+                task_terms = []
+                for _ in range(self.n_transforms):
+                    brightness, dy, dx, sigma = self._sample_transform()
+                    moved = Tensor(self._shift(masked_delta.data, dy, dx))
+                    # Straight-through: transformation applied to data,
+                    # gradient flows through the un-shifted delta (small
+                    # shifts, so the approximation is tight and keeps the
+                    # graph cheap).
+                    perturbed = Tensor(np.clip(
+                        brightness * x + moved.data
+                        + self._rng.normal(0, sigma, x.shape), 0, 1
+                    ).astype(np.float32)) + (masked_delta
+                                             - masked_delta.detach())
+                    task_terms.append(loss_fn(perturbed))
+                task_loss = task_terms[0]
+                for term in task_terms[1:]:
+                    task_loss = task_loss + term
+                task_loss = task_loss * (1.0 / self.n_transforms)
+                norm_term = masked_delta.abs().mean()
+                nps_term = non_printability_score(
+                    (Tensor(x) + masked_delta).clip(0, 1))
+                objective = (-1.0 * task_loss
+                             + self.lambda_norm * norm_term
+                             + self.lambda_nps * nps_term)
+                objective.backward()
+                optimizer.step()
+                # Keep the sticker physically plausible and the image
+                # feasible.
+                delta.data[...] = np.clip(delta.data, -self.eps, self.eps)
+                delta.data[...] = np.clip(x + delta.data * mask, 0, 1) - x
+                delta.data[...] = delta.data * mask
 
         return np.clip(x + delta.data * mask, 0.0, 1.0).astype(np.float32)
 

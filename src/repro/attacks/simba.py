@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fftpack import idct
 
 from .base import Attack, LossFn, slice_loss_fn
-from ..nn import Tensor
+from ..nn import Tensor, no_grad
 
 
 @dataclass
@@ -105,7 +105,8 @@ class SimBAAttack(Attack):
 
         def query(arr: np.ndarray) -> float:
             result.queries += 1
-            return float(loss_fn(Tensor(arr)).data)
+            with no_grad():
+                return float(loss_fn(Tensor(arr)).data)
 
         shape = image.shape[1:]
         order = self._rng.permutation(self._n_directions(shape))

@@ -7,6 +7,7 @@ contrastive-learning defense.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -78,6 +79,25 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None
+
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """Treat the parameters as constants for the block.
+
+        Clears ``requires_grad`` on every parameter that has it, so a
+        backward sweep computes input gradients only: each backward closure
+        skips its parameter branch and ``param.grad`` is left untouched.
+        On exit, even when the body raises, exactly the parameters it
+        cleared get ``requires_grad`` back.  Nests.
+        """
+        thawed = [param for param in self.parameters() if param.requires_grad]
+        for param in thawed:
+            param.requires_grad = False
+        try:
+            yield
+        finally:
+            for param in thawed:
+                param.requires_grad = True
 
     # -- state dict -----------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -152,8 +152,8 @@ FAULT_PLAN = declare(
 
 SANITIZE = declare(
     "REPRO_SANITIZE", "str", default=None,
-    doc="Comma-separated runtime sanitizers: `nan`, `alias`, `grad`, "
-        "`determinism` (see `repro.analysis.sanitize`).")
+    doc="Comma-separated runtime sanitizers: `nan`, `alias` (see "
+        "`repro.analysis.sanitize`).")
 
 CKPT_EVERY = declare(
     "REPRO_CKPT_EVERY", "int", default=1,

@@ -59,6 +59,17 @@ def test_enabled_modes_rejects_unknown(monkeypatch):
         sanitize.enabled_modes()
 
 
+@pytest.mark.parametrize("mode", ["grad", "determinism"])
+def test_offline_harness_names_are_not_modes(monkeypatch, mode):
+    # gradcheck and the determinism auditor install no process hooks, so
+    # naming them in REPRO_SANITIZE must fail loudly, not pass as inert.
+    monkeypatch.setenv("REPRO_SANITIZE", mode)
+    with pytest.raises(ValueError, match=f"unknown sanitizer.*{mode}"):
+        sanitize.enabled_modes()
+    with pytest.raises(ValueError, match=mode):
+        sanitize.install([mode])
+
+
 def test_install_from_env_noop_when_unset(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     assert sanitize.install_from_env() == frozenset()
@@ -140,7 +151,7 @@ def test_attack_gradient_guard(monkeypatch):
         with pytest.raises(SanitizeError, match="adversarial input gradient"):
             input_gradient(images, nan_loss)
     # Guard unarmed: gradient flows through (legacy behavior).
-    grad = input_gradient(images, nan_loss)
+    _, grad = input_gradient(images, nan_loss)
     assert np.isnan(grad).all()
 
 

@@ -70,14 +70,14 @@ class TestBoxesToMask:
 class TestInputGradient:
     def test_gradient_of_sum_is_ones(self):
         images = np.random.default_rng(0).random((2, 1, 3, 3)).astype(np.float32)
-        grad = input_gradient(images, lambda x: x.sum())
+        _, grad = input_gradient(images, lambda x: x.sum())
         np.testing.assert_array_equal(grad, np.ones_like(images))
 
     def test_mask_zeroes_outside(self):
         images = np.random.default_rng(1).random((1, 1, 4, 4)).astype(np.float32)
         mask = np.zeros((1, 1, 4, 4), dtype=np.float32)
         mask[0, 0, :2] = 1.0
-        grad = input_gradient(images, lambda x: (x * x).sum(), mask=mask)
+        _, grad = input_gradient(images, lambda x: (x * x).sum(), mask=mask)
         assert (grad[0, 0, 2:] == 0).all()
         assert (grad[0, 0, :2] != 0).any()
 

@@ -63,8 +63,8 @@ class TestTrainedRegressorQuality:
         rng = np.random.default_rng(8)
         frame = render_frame(12.0, rng)
         x1, y1, x2, y2 = frame.lead_box
-        grad = input_gradient(frame.image[None],
-                              regressor_loss_fn(regressor, np.array([12.0])))
+        _, grad = input_gradient(
+            frame.image[None], regressor_loss_fn(regressor, np.array([12.0])))
         inside = np.abs(grad[0, :, y1:y2, x1:x2]).mean()
         overall = np.abs(grad[0]).mean()
         assert inside > overall  # saliency concentrated on the lead

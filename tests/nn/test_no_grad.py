@@ -1,11 +1,17 @@
-"""``no_grad``: inference records no tape, nests, and keeps the sanitizer."""
+"""``no_grad`` and ``Module.frozen``.
+
+``no_grad``: inference records no tape, nests, and keeps the sanitizer.
+``Module.frozen``: parameters act as constants for the block and get back
+exactly the ``requires_grad`` they had.
+"""
 
 import numpy as np
 import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.sanitize import SanitizeError
-from repro.nn import Conv2d, Tensor, hooks, no_grad
+from repro.nn import (BatchNorm2d, Conv2d, Linear, Sequential, Tensor, hooks,
+                      no_grad)
 from repro.nn import functional as F
 
 
@@ -79,3 +85,46 @@ def test_tape_sanitizer_still_fires_inside_no_grad(monkeypatch):
     with no_grad(), np.errstate(divide="ignore"):
         with pytest.raises(SanitizeError, match="__truediv__"):
             x / Tensor(np.zeros(3, dtype=np.float32))
+
+
+def small_net():
+    return Sequential(
+        Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
+        BatchNorm2d(3))
+
+
+def trainable(module):
+    return [p.requires_grad for p in module.parameters()]
+
+
+def test_frozen_backward_computes_the_input_gradient_only():
+    net = small_net()
+    x = leaf()
+    net(x).sum().backward()
+    expected = x.grad
+    net.zero_grad()
+    x = leaf()
+    with net.frozen():
+        net(x).sum().backward()
+    np.testing.assert_array_equal(x.grad, expected)
+    assert all(p.grad is None for p in net.parameters())
+    assert all(trainable(net))
+
+
+def test_frozen_restores_exactly_what_it_cleared():
+    net = small_net()
+    net[1].beta.requires_grad = False
+    with net.frozen():
+        assert not any(trainable(net))
+    assert trainable(net) == [True, True, True, False]
+
+
+def test_frozen_nests_and_restores_when_the_body_raises():
+    net = Sequential(Linear(2, 2, rng=np.random.default_rng(0)))
+    with pytest.raises(ValueError):
+        with net.frozen():
+            with net.frozen():
+                pass
+            assert not any(trainable(net))
+            raise ValueError("boom")
+    assert all(trainable(net))
