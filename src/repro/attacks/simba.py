@@ -16,8 +16,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from scipy.fftpack import idct
-
 from .base import Attack, LossFn, slice_loss_fn
 from ..nn import Tensor, no_grad
 
@@ -59,7 +57,10 @@ class SimBAAttack(Attack):
             direction.reshape(-1)[flat_index] = 1.0
             return direction
         # DCT basis restricted to the low-frequency top-left block, which is
-        # where SimBA-DCT gets its query efficiency.
+        # where SimBA-DCT gets its query efficiency.  Imported here so that
+        # importing repro never loads the FFT package.
+        from scipy.fftpack import idct
+
         block_h = max(1, int(h * self.dct_fraction))
         block_w = max(1, int(w * self.dct_fraction))
         per_channel = block_h * block_w

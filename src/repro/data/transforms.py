@@ -101,6 +101,51 @@ def gaussian_blur3(image: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def median_blur(images: np.ndarray, k: int = 3) -> np.ndarray:
+    """Exact k×k median filter of an (N, C, H, W) batch, as float32.
+
+    Borders replicate the nearest edge pixel (``mode="nearest"`` of an
+    ndimage median filter run per channel), and on finite and ±inf inputs
+    the result equals that filter bit for bit: the median of an odd window
+    is one of its inputs and only comparisons pick it, and the float32
+    cast is monotonic, so casting first changes nothing either.
+
+    ``k = 3`` sorts every vertical triple once with three min/max
+    compare-exchanges; a pixel's median is then ``med3`` of the max of the
+    three column lows, the ``med3`` of the column mids and the min of the
+    column highs over its three columns.  Any NaN in a pixel's window makes
+    that pixel NaN (a per-channel ndimage filter puts NaN results in
+    arbitrary places).  Other odd ``k`` partition the k² shifted views of
+    the padded batch, which orders NaN last.
+    """
+    k = int(k)
+    if k < 1 or k % 2 == 0:
+        raise ValueError("kernel size must be odd and positive")
+    x = np.asarray(images, dtype=np.float32)
+    r = k // 2
+    h, w = x.shape[-2:]
+    padded = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    if k == 3:
+        a, b, c = padded[:, :, :-2], padded[:, :, 1:-1], padded[:, :, 2:]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        lo, c = np.minimum(lo, c), np.maximum(lo, c)
+        mid, hi = np.minimum(hi, c), np.maximum(hi, c)
+        left, centre, right = slice(None, -2), slice(1, -1), slice(2, None)
+        lows = np.maximum(np.maximum(lo[..., left], lo[..., centre]),
+                          lo[..., right])
+        mids = _med3(mid[..., left], mid[..., centre], mid[..., right])
+        highs = np.minimum(np.minimum(hi[..., left], hi[..., centre]),
+                           hi[..., right])
+        return _med3(lows, mids, highs)
+    views = np.stack([padded[:, :, i:i + h, j:j + w]
+                      for i in range(k) for j in range(k)])
+    return np.partition(views, k * k // 2, axis=0)[k * k // 2]
+
+
 def simclr_augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The augmentation pipeline for contrastive-view generation."""
     out = random_crop_resize(image, rng)

@@ -128,9 +128,7 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     defenses (median blur, bit-depth reduction) would damage clean accuracy
     far more than they do in the paper.
     """
-    from scipy.ndimage import median_filter
-
-    from ..data.transforms import gaussian_blur3
+    from ..data.transforms import gaussian_blur3, median_blur
 
     out = images.copy()
     for i in range(len(out)):
@@ -141,8 +139,7 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         elif roll < 0.40:
             out[i] = gaussian_blur3(out[i])
         elif roll < 0.55:
-            for c in range(out.shape[1]):
-                out[i, c] = median_filter(out[i, c], size=3, mode="nearest")
+            out[i] = median_blur(out[i:i + 1], 3)[0]
         elif roll < 0.70:
             bits = int(rng.integers(3, 6))
             levels = 2 ** bits - 1
