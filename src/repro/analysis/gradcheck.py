@@ -177,6 +177,20 @@ def _conv2d_strided():
     return forward, [("x", x)] + _params(layer)
 
 
+@case("conv2d_strided_padded")
+def _conv2d_strided_padded():
+    # The backbone's geometry: stride 2, padding 1 and odd H/W, so col2im
+    # clips border taps out of the padding on the way back.
+    rng = np.random.default_rng(29)
+    layer = nn.Conv2d(2, 3, 3, stride=2, padding=1, rng=rng)
+    x = Tensor(rng.normal(size=(2, 2, 5, 7)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(layer(x), np.random.default_rng(30))
+
+    return forward, [("x", x)] + _params(layer)
+
+
 @case("conv2d_1x1")
 def _conv2d_1x1():
     rng = np.random.default_rng(25)
@@ -225,6 +239,23 @@ def _batchnorm1d():
 
     def forward() -> Tensor:
         return _weighted_sum(layer(x), np.random.default_rng(34))
+
+    return forward, [("x", x)] + _params(layer)
+
+
+@case("batchnorm2d_eval")
+def _batchnorm2d_eval():
+    rng = np.random.default_rng(35)
+    layer = nn.BatchNorm2d(3)
+    layer.running_mean[...] = rng.normal(size=3)
+    layer.running_var[...] = rng.uniform(0.5, 2.0, size=3)
+    layer.gamma.data[...] = rng.normal(1.0, 0.3, size=3)
+    layer.beta.data[...] = rng.normal(size=3)
+    layer.eval()
+    x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(layer(x), np.random.default_rng(36))
 
     return forward, [("x", x)] + _params(layer)
 
@@ -348,6 +379,21 @@ def _conv_block():
 
     def forward() -> Tensor:
         return _weighted_sum(block(x), np.random.default_rng(62))
+
+    return forward, [("x", x)] + _params(block)
+
+
+@case("conv_block_eval")
+def _conv_block_eval():
+    rng = np.random.default_rng(65)
+    block = nn.ConvBlock(2, 3, kernel_size=3, stride=2, rng=rng)
+    block.bn.running_mean[...] = rng.normal(scale=0.5, size=3)
+    block.bn.running_var[...] = rng.uniform(0.5, 2.0, size=3)
+    block.eval()
+    x = Tensor(rng.normal(size=(1, 2, 5, 7)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(block(x), np.random.default_rng(66))
 
     return forward, [("x", x)] + _params(block)
 

@@ -65,28 +65,50 @@ def project_lead(distance: float, lateral_offset: float = 0.0
     return x1, y1, x2, y2
 
 
-def _render_road(rng: np.random.Generator) -> np.ndarray:
-    image = np.zeros((FRAME_H, FRAME_W, 3), dtype=np.float32)
-    sky_top = np.array([0.5, 0.65, 0.9]) + rng.normal(0, 0.03, 3)
-    sky_bot = np.array([0.8, 0.85, 0.95]) + rng.normal(0, 0.03, 3)
-    for row in range(HORIZON_ROW):
-        t = row / max(1, HORIZON_ROW - 1)
-        image[row] = (1 - t) * sky_top + t * sky_bot
-    road = np.array([0.33, 0.33, 0.35]) + rng.normal(0, 0.02, 3)
-    shoulder = np.array([0.45, 0.47, 0.4]) + rng.normal(0, 0.02, 3)
-    ys, xs = np.mgrid[0:FRAME_H, 0:FRAME_W].astype(np.float32)
-    for row in range(HORIZON_ROW, FRAME_H):
-        depth = (row - HORIZON_ROW) / (FRAME_H - HORIZON_ROW)
-        half_width = 8 + depth * 55
-        image[row] = shoulder * (0.8 + 0.3 * depth)
-        cols = np.abs(np.arange(FRAME_W) - FRAME_W / 2) <= half_width
-        image[row, cols] = road * (0.8 + 0.4 * depth)
-        # Dashed centre-lane markings.
+def _road_layout() -> Tuple[np.ndarray, ...]:
+    """Per-row blend weights and pixel masks of the empty road, built once.
+
+    Returns the sky blend ``t`` per sky row, the shoulder and road shading
+    factors per ground row, and ``(ground rows, W)`` masks of the road
+    surface and of the dashed centre-lane marks.
+    """
+    sky_t = np.arange(HORIZON_ROW) / max(1, HORIZON_ROW - 1)
+    depth = np.arange(FRAME_H - HORIZON_ROW) / (FRAME_H - HORIZON_ROW)
+    half_width = 8 + depth * 55
+    road = np.abs(np.arange(FRAME_W) - FRAME_W / 2) <= half_width[:, None]
+    lanes = np.zeros_like(road)
+    for k, row in enumerate(range(HORIZON_ROW, FRAME_H)):
         if (row // 3) % 2 == 0:
             for lane_offset in (-0.45, 0.45):
-                col = int(FRAME_W / 2 + lane_offset * 2 * half_width)
+                col = int(FRAME_W / 2 + lane_offset * 2 * half_width[k])
                 if 0 <= col < FRAME_W:
-                    image[row, max(0, col - 1):col + 1] = [0.85, 0.85, 0.8]
+                    lanes[k, max(0, col - 1):col + 1] = True
+    return (sky_t[:, None], (0.8 + 0.3 * depth)[:, None],
+            (0.8 + 0.4 * depth)[:, None], road, lanes)
+
+
+_SKY_T, _SHOULDER_SHADE, _ROAD_SHADE, _ROAD_MASK, _LANE_MASK = _road_layout()
+_LANE_COLOR = np.array([0.85, 0.85, 0.8], dtype=np.float32)
+
+
+def _render_road(rng: np.random.Generator) -> np.ndarray:
+    """Sky gradient, shoulder, road surface and dashed lane marks (H, W, 3).
+
+    Each row's colours are computed in float64 and rounded to float32
+    once, from the precomputed layout.
+    """
+    sky_top = np.array([0.5, 0.65, 0.9]) + rng.normal(0, 0.03, 3)
+    sky_bot = np.array([0.8, 0.85, 0.95]) + rng.normal(0, 0.03, 3)
+    road = np.array([0.33, 0.33, 0.35]) + rng.normal(0, 0.02, 3)
+    shoulder = np.array([0.45, 0.47, 0.4]) + rng.normal(0, 0.02, 3)
+    image = np.empty((FRAME_H, FRAME_W, 3), dtype=np.float32)
+    image[:HORIZON_ROW] = ((1 - _SKY_T) * sky_top
+                           + _SKY_T * sky_bot).astype(np.float32)[:, None]
+    ground = image[HORIZON_ROW:]
+    ground[...] = (shoulder * _SHOULDER_SHADE).astype(np.float32)[:, None]
+    np.copyto(ground, (road * _ROAD_SHADE).astype(np.float32)[:, None],
+              where=_ROAD_MASK[:, :, None])
+    ground[_LANE_MASK] = _LANE_COLOR
     return image
 
 

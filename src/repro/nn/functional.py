@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate
+from .tensor import Tensor, _accumulate, _unbroadcast, default_dtype
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -35,7 +35,9 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
     sh, sw = stride
     ph, pw = padding
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
     stride_n, stride_c, stride_h, stride_w = x.strides
@@ -51,20 +53,55 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
            kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int], out_size: Tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
+    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
+
+    Overlapping patches are summed, so this is not an inverse.  Image row
+    ``r`` takes kernel row ``i`` from output row ``(r + ph - i) / sh`` when
+    that is a whole number in range, so the rows fall into ``sh`` phases
+    (``r % sh``), each fed by a fixed subset of kernel rows; columns
+    likewise.  Each phase is summed in a contiguous buffer, tap by tap in
+    ``(i, j)`` order with the ranges clipped to the image, then written
+    into the unpadded image once.  Every pixel sums the same terms in the
+    same order as a scatter into a padded buffer that is then cropped.
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
-    ph, pw = padding
     out_h, out_w = out_size
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     reshaped = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += reshaped[:, :, i, j]
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
+    image = np.empty((n, c, h, w), dtype=cols.dtype)
+    col_phases = _tap_phases(kw, sw, padding[1], w, out_w)
+    for r, rows, row_taps in _tap_phases(kh, sh, padding[0], h, out_h):
+        for q, columns, col_taps in col_phases:
+            acc = np.zeros((n, c, rows, columns), dtype=cols.dtype)
+            for i, a0, a1, di in row_taps:
+                for j, b0, b1, dj in col_taps:
+                    acc[:, :, a0:a1, b0:b1] += reshaped[
+                        :, :, i, j, a0 + di:a1 + di, b0 + dj:b1 + dj]
+            image[:, :, r::sh, q::sw] = acc
+    return image
+
+
+def _tap_phases(kernel: int, stride: int, pad: int, size: int,
+                out_size: int) -> list:
+    """Split one image axis of :func:`col2im` into its stride phases.
+
+    For each phase ``r`` (image indices ``r, r + stride, ...``) returns
+    ``(r, length, taps)``: ``taps`` lists, in kernel order, each tap ``t``
+    that lands on the phase as ``(t, m0, m1, d)``, where phase slots
+    ``m0 <= m < m1`` take output position ``m + d``.
+    """
+    phases = []
+    for r in range(min(stride, size)):
+        length = -((r - size) // stride)
+        taps = []
+        for t in range(kernel):
+            d, rem = divmod(r + pad - t, stride)
+            m0, m1 = max(0, -d), min(length, out_size - d)
+            if rem == 0 and m0 < m1:
+                taps.append((t, m0, m1, d))
+        phases.append((r, length, taps))
+    return phases
 
 
 def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
@@ -163,6 +200,49 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                                       stride, padding, (out_h, out_w)))
 
     return Tensor._make(out.astype(dtype, copy=False), parents, backward)
+
+
+def batch_norm_eval(x: Tensor, running_mean: np.ndarray,
+                    running_var: np.ndarray, gamma: Tensor, beta: Tensor,
+                    eps: float) -> Tensor:
+    """Eval-mode batch norm over channel axis 1, as one tape op.
+
+    ``x`` is ``(N, C)`` or ``(N, C, H, W)``; the running statistics and
+    ``gamma``/``beta`` are ``(C,)``.  The output is
+    ``(x - mean) * inv_std * gamma + beta``, evaluated in that order with
+    ``inv_std = 1 / sqrt(var + eps)`` computed at the buffers' precision,
+    so it is bit-identical to the same expression written with Tensor ops.
+    The backward reduces the gamma and beta gradients over the same axes
+    that broadcasting them would.
+    """
+    c = x.shape[1]
+    shape = (c,) if x.ndim == 2 else (1, c) + (1,) * (x.ndim - 2)
+    dtype = default_dtype()
+    mean = np.asarray(running_mean.reshape(shape), dtype=dtype)
+    inv_std = np.asarray(1.0 / np.sqrt(running_var.reshape(shape) + eps),
+                         dtype=dtype)
+    scale = gamma.data.reshape(shape)
+    x_hat = x.data - mean
+    x_hat *= inv_std
+    out = x_hat * scale
+    out += beta.data.reshape(shape)
+    # Decide the parameter branches at forward time: a parameter frozen
+    # for the forward stays a constant of this node if thawed before the
+    # backward, as it would in a graph of Tensor ops.
+    grad_gamma, grad_beta = gamma.requires_grad, beta.requires_grad
+    if not grad_gamma:
+        x_hat = None
+
+    def backward(g: np.ndarray) -> None:
+        if grad_beta:
+            _accumulate(beta, _unbroadcast(g, shape).reshape(beta.shape))
+        if grad_gamma:
+            _accumulate(gamma, _unbroadcast(g * x_hat, shape)
+                        .reshape(gamma.shape))
+        if x.requires_grad:
+            _accumulate(x, g * scale * inv_std)
+
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:

@@ -90,7 +90,10 @@ class Module:
         On exit, even when the body raises, exactly the parameters it
         cleared get ``requires_grad`` back.  Nests.
         """
-        thawed = [param for param in self.parameters() if param.requires_grad]
+        # Walk _params directly: named_parameters() would rebuild and
+        # re-stamp every dotted name on each attack query.
+        thawed = [param for module in self.modules()
+                  for param in module._params.values() if param.requires_grad]
         for param in thawed:
             param.requires_grad = False
         try:
@@ -210,18 +213,16 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", init.ones((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-            self.running_mean[...] = ((1 - self.momentum) * self.running_mean
-                                      + self.momentum * mean.data.reshape(-1))
-            self.running_var[...] = ((1 - self.momentum) * self.running_var
-                                     + self.momentum * var.data.reshape(-1))
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            mean = self.running_mean.reshape(1, -1, 1, 1)
-            var = self.running_var.reshape(1, -1, 1, 1)
-            x_hat = (x - mean) * (1.0 / np.sqrt(var + self.eps))
+        if not self.training:
+            return F.batch_norm_eval(x, self.running_mean, self.running_var,
+                                     self.gamma, self.beta, self.eps)
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        self.running_mean[...] = ((1 - self.momentum) * self.running_mean
+                                  + self.momentum * mean.data.reshape(-1))
+        self.running_var[...] = ((1 - self.momentum) * self.running_var
+                                 + self.momentum * var.data.reshape(-1))
+        x_hat = (x - mean) / (var + self.eps).sqrt()
         gamma = self.gamma.reshape(1, -1, 1, 1)
         beta = self.beta.reshape(1, -1, 1, 1)
         return x_hat * gamma + beta
@@ -240,16 +241,16 @@ class BatchNorm1d(Module):
         self.register_buffer("running_var", init.ones((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = ((x - mean) ** 2).mean(axis=0, keepdims=True)
-            self.running_mean[...] = ((1 - self.momentum) * self.running_mean
-                                      + self.momentum * mean.data.reshape(-1))
-            self.running_var[...] = ((1 - self.momentum) * self.running_var
-                                     + self.momentum * var.data.reshape(-1))
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            x_hat = (x - self.running_mean) * (1.0 / np.sqrt(self.running_var + self.eps))
+        if not self.training:
+            return F.batch_norm_eval(x, self.running_mean, self.running_var,
+                                     self.gamma, self.beta, self.eps)
+        mean = x.mean(axis=0, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=0, keepdims=True)
+        self.running_mean[...] = ((1 - self.momentum) * self.running_mean
+                                  + self.momentum * mean.data.reshape(-1))
+        self.running_var[...] = ((1 - self.momentum) * self.running_var
+                                 + self.momentum * var.data.reshape(-1))
+        x_hat = (x - mean) / (var + self.eps).sqrt()
         return x_hat * self.gamma + self.beta
 
 

@@ -9,9 +9,10 @@ Everything here is deterministic by construction:
 * :class:`LatencyModel` — per-(slot, seq) virtual service times.  Real
   inference is milliseconds: on a 2-core Xeon with one BLAS thread, a
   batch-1 replica call in the ``serve-chaos`` benchmark takes about
-  1.0–1.4 ms at p50 and 1.2–1.5 ms at p98, and a ``closed-loop`` ACC tick
-  (render, median blur, CAP-Attack, predict, control) about 13–14 ms at
-  p50 and 16–17 ms at p98 (quartiles over 5–10 runs).  Wall-clock
+  1.1–1.2 ms at p50 and 1.4–1.5 ms at p98 (quartiles over 5 runs), and a
+  ``closed-loop`` ACC tick (render, median blur, CAP-Attack, predict,
+  control) about 10.0–10.7 ms at p50 and 11.8–13.5 ms at p98 (quartiles
+  over 10 runs).  Wall-clock
   readings are banned from results (lint R002), so the broker runs on a
   *virtual clock*: service times are drawn from a seeded long-tailed
   distribution (lognormal body + occasional straggler) that gives

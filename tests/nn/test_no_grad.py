@@ -128,3 +128,19 @@ def test_frozen_nests_and_restores_when_the_body_raises():
             assert not any(trainable(net))
             raise ValueError("boom")
     assert all(trainable(net))
+
+
+def test_frozen_does_not_stamp_parameter_names():
+    # Names come from named_parameters() (optimizers, state dicts), not
+    # from every attack query's frozen() block.
+    net = small_net()
+    params = [net[0].weight, net[0].bias, net[1].gamma, net[1].beta]
+    for param in params:
+        param.name = None
+    with net.frozen():
+        assert not any(p.requires_grad for p in params)
+    assert all(p.requires_grad for p in params)
+    assert [p.name for p in params] == [None] * 4
+    dict(net.named_parameters())
+    assert [p.name for p in params] == [
+        "layer0.weight", "layer0.bias", "layer1.gamma", "layer1.beta"]
