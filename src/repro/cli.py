@@ -141,10 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _journaled_main(argv) -> int:
     """``run`` subcommand: same experiments, under a per-run journal.
 
-    ``--resume <id>`` reopens an earlier run's journal: grid cells it
-    records as completed (and still cached) replay as hits, training paths
-    pick up from their epoch snapshots, and anything the journal promises
-    but the cache lost is recomputed with a loud ``lost`` event.
+    ``--resume <id>`` reopens an earlier run's journal: completed grid
+    cells are ordinary result-cache hits (journaled ``cached``), training
+    paths pick up from their epoch snapshots, and anything the journal
+    promises but the cache lost is recomputed with a loud ``lost`` event.
+    The banner's retraining-fan line is folded from the journal's
+    ``train-*`` events.
     """
     from .runtime import journal
 
@@ -168,14 +170,12 @@ def _journaled_main(argv) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if resume:
-        from .runtime import manifest
-
         counts = log.summary()
         done = counts.get("cell", 0)
         faults = counts.get("store-fault", 0) + counts.get("cell-fault", 0)
         print(f"resuming {log.run_id}: journal has {done} cell event(s), "
               f"{faults} fault event(s) — completed work replays from cache")
-        fan = manifest.describe(log.directory)
+        fan = log.describe_fan()
         if fan:
             print(fan)
     else:

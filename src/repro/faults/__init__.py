@@ -18,8 +18,7 @@ seeds produce bit-identical results under serial, parallel, and cached
 execution.
 """
 
-from .runtime import (FAULT_PLAN_ENV, InjectedFault, RuntimeFault,
-                      RuntimeFaultPlan)
+from .runtime import InjectedFault, RuntimeFault, RuntimeFaultPlan
 from .sensor import (FAULT_REGISTRY, CorruptFrame, ExposureShift, FaultEvent,
                      FrameDrop, NoiseBurst, PartialOcclusion, SensorFault,
                      SensorFaultInjector, StuckFrame, from_spec, make_fault)
@@ -32,5 +31,5 @@ __all__ = [
     "NoiseBurst", "CorruptFrame", "make_fault", "from_spec",
     "PerceptionWatchdog", "WatchdogConfig", "DegradationLevel",
     "GateDecision",
-    "RuntimeFaultPlan", "RuntimeFault", "InjectedFault", "FAULT_PLAN_ENV",
+    "RuntimeFaultPlan", "RuntimeFault", "InjectedFault",
 ]

@@ -70,9 +70,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..runtime import env
 
-# Historical name, kept importable; the registry is the source of truth.
-FAULT_PLAN_ENV = env.FAULT_PLAN.name
-
 #: how long a "hang" sleeps; far beyond any sane per-cell timeout, but
 #: bounded so an unmonitored test can still terminate.
 HANG_SECONDS = 3600.0
@@ -140,15 +137,15 @@ class RuntimeFaultPlan:
             if kind not in _KINDS:
                 raise ValueError(
                     f"unknown runtime fault kind {kind!r} in "
-                    f"{FAULT_PLAN_ENV}; known: {_KINDS}")
+                    f"{env.FAULT_PLAN.name}; known: {_KINDS}")
             attempt, attempt_end = 0, None
             if tail:
                 key, _, value = tail.partition("=")
                 if key.strip() != "attempt":
                     raise ValueError(
                         f"unknown runtime fault option {key!r} in "
-                        f"{FAULT_PLAN_ENV} (only 'attempt=N', 'attempt=N+' "
-                        f"or 'attempt=N-M')")
+                        f"{env.FAULT_PLAN.name} (only 'attempt=N', "
+                        f"'attempt=N+' or 'attempt=N-M')")
                 attempt, attempt_end = _parse_attempt(value)
             target = index.strip()
             if not target:

@@ -36,10 +36,6 @@ from . import codecs, env, store
 
 logger = logging.getLogger(__name__)
 
-# Historical names, kept importable; the registry is the source of truth.
-CACHE_TOGGLE_ENV = env.RESULT_CACHE.name
-CACHE_MAX_MB_ENV = env.CACHE_MAX_MB.name
-
 
 def _default_root() -> str:
     path = env.CACHE_DIR.get()

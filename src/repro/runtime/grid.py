@@ -31,11 +31,11 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 import numpy as np
 
 from ..nn import hooks
-from . import codecs, instrument, journal, store
+from . import instrument, journal
 from .cache import ResultCache, default_cache
 from .parallel import parallel_map
 
-#: codec name -> (store, load) against the ResultCache
+#: result encodings a cell may declare (see :meth:`GridRunner.add`)
 _CODECS = ("json", "npz")
 
 
@@ -105,40 +105,6 @@ class GridRunner:
         else:
             self.cache.save_json(self._cache_name(cell), cell.config, result)
 
-    def _artifact_path(self, cell: _Cell) -> Optional[str]:
-        """Where this cell's result lives in the cache (None: uncacheable)."""
-        if cell.config is None:
-            return None
-        return self.cache.path(self._cache_name(cell), cell.config,
-                               cell.codec)
-
-    def _load_artifact(self, cell: _Cell, info: Dict[str, Any]
-                       ) -> Optional[Any]:
-        """Replay a cell straight from its journaled artifact record.
-
-        The journal — not a fresh cache-fingerprint pass — decides that the
-        cell is done; the recorded path is only trusted when it matches the
-        path the *current* configuration would produce, so a changed model
-        fingerprint or bumped cell version invalidates the replay instead
-        of resurrecting a stale result.
-        """
-        expected = self._artifact_path(cell)
-        if (expected is None or info.get("artifact") != expected
-                or info.get("codec") != cell.codec):
-            return None
-        if cell.codec == "npz":
-            arrays = store.try_load_state(expected)
-            if arrays is None or "array" not in arrays:
-                return None
-            return arrays["array"]
-        payload = store.try_load_json(expected)
-        if payload is None:
-            return None
-        try:
-            return codecs.from_jsonable(payload)
-        except (KeyError, ValueError):
-            return None
-
     # -- execution ------------------------------------------------------
     def run(self) -> Dict[Hashable, Any]:
         """Execute every declared cell; returns ``{key: result}``.
@@ -150,59 +116,39 @@ class GridRunner:
         bit-identical to an uninterrupted one.
 
         Under an active run journal every cell's fate is appended as it is
-        decided: ``replayed`` (the journal recorded the cell done and its
-        journaled artifact path loaded — no cache fingerprint pass),
-        ``cached`` (fingerprint cache hit), ``done`` (freshly computed,
-        with its artifact path journaled for the next resume), ``lost``
-        (the journal says it finished once, but its artifact is gone —
-        recomputed loudly, never silently).
+        decided: ``cached`` (result-cache hit — a resumed run's finished
+        cells land here, through the same lookup as any other hit),
+        ``done`` (freshly computed — on resume too, when the cache is off
+        or the cell is uncacheable), ``lost`` (the journal says it finished
+        once, but the enabled cache no longer has it — recomputed loudly,
+        never silently).
         """
         log = journal.get_journal()
         completed = (log.completed_cells(self.name) if log is not None
                      else set())
-        artifacts = (log.artifacts(self.name) if log is not None else {})
         if log is not None:
             log.append({"event": "grid-start", "grid": self.name,
                         "cells": len(self._cells)})
 
         def journal_cell(cell: _Cell, status: str) -> None:
-            if log is None:
-                return
-            event = {"event": "cell", "grid": self.name, "cell": cell.label,
-                     "status": status}
-            path = self._artifact_path(cell)
-            if path is not None and status in ("done", "cached", "replayed"):
-                event["artifact"] = path
-                event["codec"] = cell.codec
-            log.append(event)
+            if log is not None:
+                log.append({"event": "cell", "grid": self.name,
+                            "cell": cell.label, "status": status})
 
         results: Dict[Hashable, Any] = {}
         pending: List[_Cell] = []
         for cell in self._cells:
-            # Journal-driven resume first: a cell the journal records as
-            # finished replays from its recorded artifact path without a
-            # cache lookup; the fingerprint pass is only the fallback.
-            result = None
-            status = None
-            info = artifacts.get(cell.label)
-            if info is not None:
-                result = self._load_artifact(cell, info)
-                if result is not None:
-                    status = "replayed"
-            if result is None:
-                result = self._load_cached(cell)
-                if result is not None:
-                    status = "cached"
+            result = self._load_cached(cell)
             if result is not None:
                 results[cell.key] = result
                 self.instrumentation.record_cell(instrument.CellRecord(
                     grid=self.name, cell=cell.label, seconds=0.0,
                     forward_passes=0, backward_passes=0, cached=True))
-                journal_cell(cell, status)
+                journal_cell(cell, "cached")
             else:
-                if log is not None and cell.label in completed:
-                    log.append({"event": "cell", "grid": self.name,
-                                "cell": cell.label, "status": "lost"})
+                if (cell.label in completed and cell.config is not None
+                        and self.cache.enabled):
+                    journal_cell(cell, "lost")
                 pending.append(cell)
 
         if pending:

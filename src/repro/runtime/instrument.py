@@ -26,8 +26,6 @@ from typing import Dict, List, Optional
 from ..nn import hooks
 from . import env
 
-# Historical names, kept importable; the registry is the source of truth.
-BENCH_PATH_ENV = env.BENCH_JSON.name
 DEFAULT_BENCH_NAME = env.BENCH_JSON.default
 
 

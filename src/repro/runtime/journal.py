@@ -10,14 +10,15 @@ the checkpoint store append one JSON line per event:
   cell's status (``cached`` / ``done`` / ``lost``),
 * ``train-start`` / ``train-progress`` / ``train-resume`` /
   ``train-done`` — zoo training paths, including per-snapshot epoch
-  progress (these are also folded into the run's retraining-fan
-  ``manifest.json`` — see :mod:`repro.runtime.manifest`),
+  progress (:meth:`RunJournal.describe_fan` folds these into the
+  ``--resume`` banner's retraining-fan line),
 * ``store-fault`` — quarantined / injected storage faults.
 
-``--resume <id>`` reopens the same journal: completed cells recorded there
-(and still present in the result cache) are replayed as cache hits; a cell
-the journal says finished but whose cache entry has vanished is recomputed
-*loudly* with a ``lost`` event, never silently.
+The journal and the result cache are the only resume state.  ``--resume
+<id>`` reopens the same journal; completed cells come back as ordinary
+``cached`` hits, and a cell the journal says finished but the enabled
+cache no longer holds is recomputed *loudly* with a ``lost`` event, never
+silently.
 
 Writes are single ``write()`` calls on a file opened in append mode and
 fsync'd, so a crash mid-append can tear at most the final line — the
@@ -42,6 +43,8 @@ logger = logging.getLogger(__name__)
 
 JOURNAL_FILENAME = "journal.jsonl"
 _RUN_ID_RE = re.compile(r"^run-(\d+)$")
+_TRAIN_EVENTS = ("train-start", "train-progress", "train-resume",
+                 "train-done")
 
 
 def cache_root() -> str:
@@ -85,11 +88,6 @@ class RunJournal:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        # Fold training events into the run's retraining-fan manifest
-        # (lazy import: manifest -> store -> journal would cycle at init).
-        if str(record.get("event", "")).startswith("train-"):
-            from . import manifest
-            manifest.RunManifest(self.directory).on_event(record)
 
     # -- reading --------------------------------------------------------
     def events(self) -> List[Dict[str, Any]]:
@@ -127,28 +125,9 @@ class RunJournal:
         done: Set[str] = set()
         for event in self.events():
             if (event.get("event") == "cell" and event.get("grid") == grid
-                    and event.get("status") in ("done", "cached",
-                                                "replayed")):
+                    and event.get("status") in ("done", "cached")):
                 done.add(str(event.get("cell")))
         return done
-
-    def artifacts(self, grid: str) -> Dict[str, Dict[str, Any]]:
-        """Latest journaled artifact per completed cell of ``grid``.
-
-        Cell events carry the cache path their result was stored under
-        (``artifact``) plus its codec; a resumed run replays completed
-        cells straight from these records — the journal, not a fresh cache
-        fingerprint pass, decides what is done.
-        """
-        latest: Dict[str, Dict[str, Any]] = {}
-        for event in self.events():
-            if (event.get("event") == "cell" and event.get("grid") == grid
-                    and event.get("status") in ("done", "cached", "replayed")
-                    and event.get("artifact")):
-                latest[str(event.get("cell"))] = {
-                    "artifact": str(event["artifact"]),
-                    "codec": event.get("codec")}
-        return latest
 
     def summary(self) -> Dict[str, int]:
         """Event counts by type — the ``--resume`` banner's raw material."""
@@ -157,6 +136,41 @@ class RunJournal:
             kind = str(event.get("event", "?"))
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+    def describe_fan(self) -> Optional[str]:
+        """The ``--resume`` banner's retraining-fan line; ``None`` if empty.
+
+        Folds the ``train-*`` events into per-variant status and epoch.
+        Zoo events name the variant in ``model``; checkpointer events carry
+        the ``zoo.``-prefixed snapshot ``label``.
+        """
+        variants: Dict[str, Dict[str, Any]] = {}
+        for event in self.events():
+            kind = event.get("event")
+            if kind not in _TRAIN_EVENTS:
+                continue
+            name = str(event.get("model") or re.sub(
+                r"^zoo\.", "", str(event.get("label") or "")))
+            if not name:
+                continue
+            entry = variants.setdefault(name, {"epoch": 0})
+            if kind == "train-done":
+                entry["done"] = True
+            elif kind == "train-start":
+                entry.update(done=False, epoch=0)
+            else:
+                entry["epoch"] = int(event.get("epoch", 0))
+        if not variants:
+            return None
+        pending = sorted(name for name, entry in variants.items()
+                         if not entry.get("done"))
+        line = (f"retraining fan: {len(variants) - len(pending)}/"
+                f"{len(variants)} variant(s) trained")
+        if pending:
+            line += "; remaining: " + ", ".join(
+                f"{name} (epoch {variants[name]['epoch']})"
+                for name in pending)
+        return line
 
 
 # ---------------------------------------------------------------------------

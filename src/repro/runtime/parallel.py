@@ -56,11 +56,6 @@ logger = logging.getLogger(__name__)
 
 from . import env as _env  # noqa: E402 - registry import after typing setup
 
-# Historical names, kept importable; the registry is the source of truth.
-WORKERS_ENV = _env.WORKERS.name
-TIMEOUT_ENV = _env.CELL_TIMEOUT.name
-RETRIES_ENV = _env.MAX_RETRIES.name
-
 DEFAULT_MAX_RETRIES = _env.MAX_RETRIES.default
 _POLL_S = 0.05
 

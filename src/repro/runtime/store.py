@@ -20,8 +20,8 @@ a *valid* artifact:
   WARNING naming the quarantined path is logged.  Callers then see a cache
   miss and regenerate — loudly, with the evidence preserved on disk.
 * **Chaos hooks** — ``REPRO_FAULT_PLAN`` disk kinds (``torn-write@store``,
-  ``enospc@store``, ``bitrot@store``) fire here, keyed by a per-scope
-  write-attempt counter, so the recovery path above is itself testable.
+  ``enospc@store``, ``bitrot@store``) fire here, keyed by a write-attempt
+  counter, so the recovery path above is itself testable.
 
 Legacy digest-less ``.npz`` / JSON artifacts (written before this module
 existed) still load; they just don't get digest verification beyond the
@@ -50,7 +50,7 @@ DIGEST_KEY = "__repro_digest__"
 QUARANTINE_DIRNAME = "quarantine"
 #: per-directory cap on quarantined files; oldest (by name) pruned beyond it.
 QUARANTINE_KEEP = 16
-#: fault-plan scope consulted by default for every store write.
+#: fault-plan scope consulted for every store write.
 STORE_SCOPE = "store"
 
 #: everything a corrupt / truncated / wrong-layout artifact can raise while
@@ -77,8 +77,8 @@ class StoreFault:
 
 
 _EVENTS: List[StoreFault] = []
-#: per-scope write counters driving the ``attempt=`` clause of disk faults.
-_WRITE_ATTEMPTS: Dict[str, int] = {}
+#: store writes so far, driving the ``attempt=`` clause of disk faults.
+_write_attempts = 0
 
 
 def fault_events() -> List[StoreFault]:
@@ -91,8 +91,9 @@ def clear_fault_events() -> None:
 
 
 def reset_write_attempts() -> None:
-    """Reset per-scope disk-fault attempt counters (test isolation)."""
-    _WRITE_ATTEMPTS.clear()
+    """Reset the disk-fault attempt counter (test isolation)."""
+    global _write_attempts
+    _write_attempts = 0
 
 
 def _record(fault: StoreFault) -> None:
@@ -187,11 +188,12 @@ def _prune_quarantine(qdir: str) -> None:
 # injected disk faults
 
 
-def _planned_disk_fault(scope: str) -> Optional[str]:
+def _planned_disk_fault() -> Optional[str]:
     from ..faults.runtime import maybe_disk_fault  # lazy: avoids init cycle
-    attempt = _WRITE_ATTEMPTS.get(scope, 0)
-    _WRITE_ATTEMPTS[scope] = attempt + 1
-    return maybe_disk_fault(scope, attempt)
+    global _write_attempts
+    attempt = _write_attempts
+    _write_attempts += 1
+    return maybe_disk_fault(STORE_SCOPE, attempt)
 
 
 def _apply_post_write_fault(path: str, kind: str) -> None:
@@ -226,8 +228,7 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def _atomic_commit(tmp: str, path: str, scope: str,
-                   planned: Optional[str]) -> None:
+def _atomic_commit(tmp: str, path: str, planned: Optional[str]) -> None:
     """fsync'd rename of ``tmp`` onto ``path``, honoring injected faults."""
     if planned == "enospc":
         try:
@@ -250,8 +251,7 @@ def _atomic_commit(tmp: str, path: str, scope: str,
 # npz state dicts
 
 
-def save_state(path: str, state: Dict[str, np.ndarray],
-               scope: str = STORE_SCOPE) -> None:
+def save_state(path: str, state: Dict[str, np.ndarray]) -> None:
     """Atomically write a state dict with an embedded content digest.
 
     On any ``OSError`` (real ENOSPC included) the temp file is removed and
@@ -262,7 +262,7 @@ def save_state(path: str, state: Dict[str, np.ndarray],
                          f"{DIGEST_KEY!r}")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    planned = _planned_disk_fault(scope)
+    planned = _planned_disk_fault()
     tmp = path + ".tmp.npz"
     payload = dict(state)
     payload[DIGEST_KEY] = np.array(state_digest(state))
@@ -277,7 +277,7 @@ def save_state(path: str, state: Dict[str, np.ndarray],
         except OSError:
             pass
         raise
-    _atomic_commit(tmp, path, scope, planned)
+    _atomic_commit(tmp, path, planned)
 
 
 def load_state(path: str) -> Dict[str, np.ndarray]:
@@ -319,11 +319,11 @@ def try_load_state(path: str) -> Optional[Dict[str, np.ndarray]]:
 # JSON artifacts
 
 
-def save_json(path: str, payload: Any, scope: str = STORE_SCOPE) -> None:
+def save_json(path: str, payload: Any) -> None:
     """Atomically write ``payload`` inside a digest-carrying envelope."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    planned = _planned_disk_fault(scope)
+    planned = _planned_disk_fault()
     envelope = {"digest": json_digest(payload), "payload": payload}
     tmp = path + ".tmp"
     try:
@@ -337,7 +337,7 @@ def save_json(path: str, payload: Any, scope: str = STORE_SCOPE) -> None:
         except OSError:
             pass
         raise
-    _atomic_commit(tmp, path, scope, planned)
+    _atomic_commit(tmp, path, planned)
 
 
 def load_json(path: str) -> Any:

@@ -72,20 +72,6 @@ def test_lookup_undeclared_raises():
         env.lookup("REPRO_NOT_A_THING")
 
 
-def test_historical_constant_names_still_importable():
-    from repro.faults.runtime import FAULT_PLAN_ENV
-    from repro.runtime.cache import CACHE_MAX_MB_ENV, CACHE_TOGGLE_ENV
-    from repro.runtime.instrument import BENCH_PATH_ENV
-    from repro.runtime.parallel import RETRIES_ENV, TIMEOUT_ENV, WORKERS_ENV
-    assert WORKERS_ENV == "REPRO_WORKERS"
-    assert TIMEOUT_ENV == "REPRO_CELL_TIMEOUT"
-    assert RETRIES_ENV == "REPRO_MAX_RETRIES"
-    assert CACHE_TOGGLE_ENV == "REPRO_RESULT_CACHE"
-    assert CACHE_MAX_MB_ENV == "REPRO_CACHE_MAX_MB"
-    assert BENCH_PATH_ENV == "REPRO_BENCH_JSON"
-    assert FAULT_PLAN_ENV == "REPRO_FAULT_PLAN"
-
-
 # ---------------------------------------------------------------------------
 # Generated documentation
 # ---------------------------------------------------------------------------

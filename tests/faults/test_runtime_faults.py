@@ -4,8 +4,9 @@ exercised deterministically via REPRO_FAULT_PLAN."""
 import numpy as np
 import pytest
 
-from repro.faults import FAULT_PLAN_ENV, InjectedFault, RuntimeFaultPlan
-from repro.runtime import GridRunner, ResultCache, WorkerError, parallel_map
+from repro.faults import InjectedFault, RuntimeFaultPlan
+from repro.runtime import (GridRunner, ResultCache, WorkerError, env,
+                           parallel_map)
 from repro.runtime.parallel import fork_available
 
 pytestmark = pytest.mark.faults
@@ -49,43 +50,43 @@ class TestPlanParsing:
 @pytest.mark.smoke
 class TestSerialRetries:
     def test_raised_fault_retried_in_process(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "raise@1")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "raise@1")
         out = parallel_map(_square, range(4), workers=1)
         assert out == [0, 1, 4, 9]
 
     def test_exhausted_retries_reraise_original(self, monkeypatch):
         monkeypatch.setenv(
-            FAULT_PLAN_ENV, "raise@0,raise@0:attempt=1,raise@0:attempt=2")
+            env.FAULT_PLAN.name, "raise@0,raise@0:attempt=1,raise@0:attempt=2")
         with pytest.raises(InjectedFault):
             parallel_map(_square, range(2), workers=1)
 
     def test_crash_plan_skipped_serially(self, monkeypatch):
         # A hard-exit cannot be recovered in-process; the serial path must
         # skip it (with a warning) rather than kill the test run.
-        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "crash@0")
         assert parallel_map(_square, range(3), workers=1) == [0, 1, 4]
 
 
 @needs_fork
 class TestForkedRecovery:
     def test_crashed_worker_retried(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@1")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "crash@1")
         out = parallel_map(_square, range(5), workers=2)
         assert out == [0, 1, 4, 9, 16]
 
     def test_raised_fault_retried(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "raise@0,crash@3")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "raise@0,crash@3")
         out = parallel_map(_square, range(5), workers=2)
         assert out == [0, 1, 4, 9, 16]
 
     def test_hung_worker_detected_and_retried(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "hang@2")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "hang@2")
         out = parallel_map(_square, range(4), workers=2, timeout=1.0)
         assert out == [0, 1, 4, 9]
 
     def test_persistent_crash_exhausts_budget(self, monkeypatch):
         monkeypatch.setenv(
-            FAULT_PLAN_ENV,
+            env.FAULT_PLAN.name,
             "crash@1,crash@1:attempt=1,crash@1:attempt=2")
         with pytest.raises(WorkerError) as excinfo:
             parallel_map(_square, range(3), workers=2)
@@ -93,7 +94,7 @@ class TestForkedRecovery:
         assert "died" in excinfo.value.remote_traceback
 
     def test_on_result_fires_once_per_item(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "crash@0")
         seen = {}
         out = parallel_map(_square, range(4), workers=2,
                            on_result=lambda i, r: seen.setdefault(i, r))
@@ -105,7 +106,7 @@ class TestForkedRecovery:
             return np.random.default_rng(seed).normal(size=8)
 
         clean = parallel_map(cell, range(4), workers=2)  # repro: noqa[R004] -- fork-start test: the closure never crosses a pickle boundary
-        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@2,raise@0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "crash@2,raise@0")
         faulted = parallel_map(cell, range(4), workers=2)  # repro: noqa[R004] -- fork-start test: the closure never crosses a pickle boundary
         for a, b in zip(clean, faulted):
             np.testing.assert_array_equal(a, b)
@@ -129,14 +130,14 @@ class TestGridCheckpointResume:
         # Cell 3 fails persistently: the run dies, but cells completed
         # before it must already be in the cache.
         monkeypatch.setenv(
-            FAULT_PLAN_ENV,
+            env.FAULT_PLAN.name,
             "raise@3,raise@3:attempt=1,raise@3:attempt=2")
         grid = self.build_grid(tmp_path)
         with pytest.raises(InjectedFault):
             grid.run()
         cached = self.build_grid(tmp_path)
         calls = []
-        monkeypatch.setenv(FAULT_PLAN_ENV, "")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "")
         for cell in cached._cells:
             cell_fn = cell.fn
             cell.fn = lambda fn=cell_fn, i=cell.key: (calls.append(i),
@@ -151,12 +152,12 @@ class TestGridCheckpointResume:
     def test_killed_parallel_grid_resumes_bit_identical(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.setenv(
-            FAULT_PLAN_ENV,
+            env.FAULT_PLAN.name,
             "crash@3,crash@3:attempt=1,crash@3:attempt=2")
         grid = self.build_grid(tmp_path, workers=2)
         with pytest.raises(WorkerError):
             grid.run()
-        monkeypatch.delenv(FAULT_PLAN_ENV)
+        monkeypatch.delenv(env.FAULT_PLAN.name)
         resumed = self.build_grid(tmp_path, workers=2).run()
         fresh = self.build_grid(tmp_path / "fresh", workers=2).run()
         assert resumed == fresh == {i: _grid_cell(i) for i in range(4)}

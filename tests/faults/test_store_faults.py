@@ -13,16 +13,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.faults import FAULT_PLAN_ENV, RuntimeFaultPlan
+from repro.faults import RuntimeFaultPlan
 from repro.faults.runtime import DISK_KINDS, maybe_disk_fault
-from repro.runtime import store
+from repro.runtime import env, store
 
 pytestmark = pytest.mark.faults
 
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+    monkeypatch.delenv(env.FAULT_PLAN.name, raising=False)
     store.clear_fault_events()
     store.reset_write_attempts()
     yield
@@ -53,9 +53,9 @@ class TestDiskFaultPlan:
         assert plan.disk_fault("store") is None
 
     def test_module_helper_reads_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "bitrot@store")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "bitrot@store")
         assert maybe_disk_fault("store") == "bitrot"
-        monkeypatch.delenv(FAULT_PLAN_ENV)
+        monkeypatch.delenv(env.FAULT_PLAN.name)
         assert maybe_disk_fault("store") is None
 
     def test_all_disk_kinds_registered(self):
@@ -65,7 +65,7 @@ class TestDiskFaultPlan:
 class TestTornWriteAtStore:
     def test_torn_write_detected_quarantined_and_retried(self, tmp_path,
                                                          monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "torn-write@store:attempt=0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "torn-write@store:attempt=0")
         path = str(tmp_path / "ckpt.npz")
         store.save_state(path, _state())  # write lands, then gets torn
         assert [e.kind for e in store.fault_events()] == ["torn-write"]
@@ -80,7 +80,7 @@ class TestTornWriteAtStore:
         np.testing.assert_array_equal(loaded["w"], _state()["w"])
 
     def test_scope_mismatch_leaves_store_alone(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "torn-write@elsewhere")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "torn-write@elsewhere")
         path = str(tmp_path / "ckpt.npz")
         store.save_state(path, _state())
         assert store.fault_events() == []
@@ -94,7 +94,7 @@ class TestEnospcAtStore:
         original = _state()
         store.save_state(path, original)
         store.reset_write_attempts()
-        monkeypatch.setenv(FAULT_PLAN_ENV, "enospc@store:attempt=0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "enospc@store:attempt=0")
         with pytest.raises(OSError) as excinfo:
             store.save_state(path, {"w": np.zeros(3, dtype=np.float32)})
         assert excinfo.value.errno == errno.ENOSPC
@@ -110,7 +110,7 @@ class TestEnospcAtStore:
                                       replacement["w"])
 
     def test_json_write_fails_cleanly_too(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "enospc@store:attempt=0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "enospc@store:attempt=0")
         path = str(tmp_path / "cell.json")
         with pytest.raises(OSError):
             store.save_json(path, {"rows": [1, 2]})
@@ -122,7 +122,7 @@ class TestEnospcAtStore:
 class TestBitrotAtStore:
     def test_bitrot_caught_by_digest_and_regenerated(self, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "bitrot@store:attempt=0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "bitrot@store:attempt=0")
         path = str(tmp_path / "ckpt.npz")
         store.save_state(path, _state())
         assert [e.kind for e in store.fault_events()] == ["bitrot"]
@@ -137,7 +137,7 @@ class TestBitrotAtStore:
                                       _state()["w"])
 
     def test_bitrot_hits_json_envelope_too(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "bitrot@store:attempt=0")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "bitrot@store:attempt=0")
         path = str(tmp_path / "cell.json")
         store.save_json(path, {"rows": list(range(64))})
         assert store.try_load_json(path) is None
@@ -165,7 +165,7 @@ class TestCheckpointerUnderDiskFaults:
             return model.state_dict(), history
 
         baseline_state, baseline_history = run()
-        monkeypatch.setenv(FAULT_PLAN_ENV, "torn-write@store")
+        monkeypatch.setenv(env.FAULT_PLAN.name, "torn-write@store")
         ckpt = EpochCheckpointer(str(tmp_path / "reg.ckpt.npz"))
         state, history = run(checkpoint=ckpt)
         assert history == baseline_history

@@ -8,9 +8,8 @@ import pytest
 
 from repro.eval.detection_metrics import DetectionMetrics
 from repro.eval.regression_metrics import RangeErrors
-from repro.runtime import array_fingerprint, fingerprint
-from repro.runtime.cache import CACHE_TOGGLE_ENV, ResultCache
-from repro.runtime import codecs
+from repro.runtime import array_fingerprint, codecs, env, fingerprint
+from repro.runtime.cache import ResultCache
 
 
 @pytest.fixture
@@ -142,7 +141,7 @@ class TestCodecs:
 @pytest.mark.smoke
 class TestToggle:
     def test_disabled_cache_never_stores(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_TOGGLE_ENV, "0")
+        monkeypatch.setenv(env.RESULT_CACHE.name, "0")
         cache = ResultCache(root=str(tmp_path))
         calls = []
 
@@ -156,7 +155,7 @@ class TestToggle:
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_enabled_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_TOGGLE_ENV, "0")
+        monkeypatch.setenv(env.RESULT_CACHE.name, "0")
         cache = ResultCache(root=str(tmp_path), enabled=True)
         cache.memo_array("adv", {"v": 1}, lambda: np.ones(2))
         assert len(list(tmp_path.iterdir())) == 1

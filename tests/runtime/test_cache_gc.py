@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.runtime import cache_max_bytes
-from repro.runtime.cache import CACHE_MAX_MB_ENV, ResultCache
+from repro.runtime import cache_max_bytes, env
+from repro.runtime.cache import ResultCache
 
 pytestmark = pytest.mark.smoke
 
@@ -26,26 +26,26 @@ def write_entry(cache, name, payload, age_s):
 
 class TestBudgetResolution:
     def test_unset_disables(self, monkeypatch):
-        monkeypatch.delenv(CACHE_MAX_MB_ENV, raising=False)
+        monkeypatch.delenv(env.CACHE_MAX_MB.name, raising=False)
         assert cache_max_bytes() is None
 
     def test_megabytes_to_bytes(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "2")
+        monkeypatch.setenv(env.CACHE_MAX_MB.name, "2")
         assert cache_max_bytes() == 2 * 1024 * 1024
 
     def test_non_positive_disables(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "0")
+        monkeypatch.setenv(env.CACHE_MAX_MB.name, "0")
         assert cache_max_bytes() is None
 
     def test_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "lots")
+        monkeypatch.setenv(env.CACHE_MAX_MB.name, "lots")
         with pytest.raises(ValueError):
             cache_max_bytes()
 
 
 class TestSweep:
     def test_noop_without_budget(self, cache, monkeypatch):
-        monkeypatch.delenv(CACHE_MAX_MB_ENV, raising=False)
+        monkeypatch.delenv(env.CACHE_MAX_MB.name, raising=False)
         write_entry(cache, "a", {"x": 1}, age_s=100)
         assert cache.sweep() == 0
 
@@ -98,5 +98,5 @@ class TestSweep:
         # set tiny, a populated cache shrinks.
         for i in range(4):
             write_entry(cache, f"g{i}", {"pad": "w" * 50000}, age_s=100 - i)
-        monkeypatch.setenv(CACHE_MAX_MB_ENV, "0.05")  # 50 KB
+        monkeypatch.setenv(env.CACHE_MAX_MB.name, "0.05")  # 50 KB
         assert cache.sweep() >= 2

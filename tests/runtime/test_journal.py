@@ -1,8 +1,9 @@
-"""Run journal: append/replay semantics, torn tails, run-id allocation."""
+"""Run journal: append/read semantics, torn tails, run ids, the fan line."""
 
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.runtime import env, journal
@@ -113,3 +114,87 @@ class TestRunLifecycle:
     def test_emit_without_active_journal_is_noop(self):
         journal.emit({"event": "ignored"})  # must not raise or create files
         assert not os.path.exists(journal.runs_root())
+
+
+class TestRetrainingFan:
+    """The ``--resume`` banner's fan line, folded from ``train-*`` events."""
+
+    def test_lifecycle(self, tmp_path):
+        log = journal.RunJournal("run-0001", str(tmp_path / "run-0001"))
+        assert log.describe_fan() is None
+        log.append({"event": "train-start", "model": "adv-FGSM",
+                    "path": "/x/adv-FGSM.npz"})
+        log.append({"event": "train-start", "model": "adv-PGD"})
+        log.append({"event": "train-progress", "model": "adv-FGSM",
+                    "epoch": 5})
+        assert log.describe_fan() == (
+            "retraining fan: 0/2 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 5), adv-PGD (epoch 0)")
+        log.append({"event": "train-done", "model": "adv-FGSM"})
+        assert log.describe_fan() == (
+            "retraining fan: 1/2 variant(s) trained; remaining: "
+            "adv-PGD (epoch 0)")
+        log.append({"event": "train-done", "model": "adv-PGD"})
+        assert log.describe_fan() == "retraining fan: 2/2 variant(s) trained"
+
+    def test_train_events_fold(self, tmp_path):
+        log = journal.RunJournal("run-0001", str(tmp_path / "run-0001"))
+        log.append({"event": "train-start", "model": "adv-FGSM",
+                    "path": "/x/adv-FGSM.npz"})
+        log.append({"event": "train-progress", "label": "zoo.adv-FGSM",
+                    "epoch": 4})
+        log.append({"event": "cell", "grid": "g", "cell": "c",
+                    "status": "done"})
+        assert log.describe_fan() == (
+            "retraining fan: 0/1 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 4)")
+        log.append({"event": "train-done", "model": "adv-FGSM"})
+        assert log.describe_fan() == "retraining fan: 1/1 variant(s) trained"
+
+    def test_describe(self, tmp_path):
+        log = journal.RunJournal("run-0001", str(tmp_path / "run-0001"))
+        log.append({"event": "train-start", "model": "adv-FGSM"})
+        log.append({"event": "train-progress", "model": "adv-FGSM",
+                    "epoch": 3})
+        log.append({"event": "train-start", "model": "adv-PGD"})
+        log.append({"event": "train-done", "model": "adv-PGD"})
+        assert log.describe_fan() == (
+            "retraining fan: 1/2 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 3)")
+
+    def test_checkpointer_snapshot_reports_progress(self, tmp_path):
+        from repro.models.training import EpochCheckpointer
+        from repro.nn import Adam, Tensor
+
+        log = journal.RunJournal("run-0001", str(tmp_path / "run-0001"))
+        journal.set_journal(log)
+
+        class Module:
+            def __init__(self):
+                self.w = Tensor(np.zeros(3, dtype=np.float32))
+
+            def state_dict(self):
+                return {"w": self.w.data}
+
+            def parameters(self):
+                return [self.w]
+
+        module = Module()
+        optimizer = Adam(module.parameters(), lr=1e-3)
+        ckpt = EpochCheckpointer(str(tmp_path / "m.ckpt.npz"), every=1,
+                                 label="zoo.variant-x")
+        ckpt.save(2, module, optimizer, np.random.default_rng(0), [1.0, 0.5])
+        assert log.events()[-1]["label"] == "zoo.variant-x"
+        assert log.describe_fan() == (
+            "retraining fan: 0/1 variant(s) trained; remaining: "
+            "variant-x (epoch 2)")
+
+    def test_torn_and_garbled_lines_are_skipped(self, tmp_path):
+        log = journal.RunJournal("run-0001", str(tmp_path / "run-0001"))
+        log.append({"event": "train-start", "model": "adv-FGSM"})
+        with open(log.path, "a") as handle:
+            handle.write("[1, 2]\n")                  # JSON, not an event
+            handle.write('{"event": "train-done", "mo')  # torn tail
+        assert log.describe_fan() == (
+            "retraining fan: 0/1 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 0)")

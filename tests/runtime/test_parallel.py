@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.runtime import (WorkerError, fork_available, parallel_map,
+from repro.runtime import (WorkerError, env, fork_available, parallel_map,
                            stable_seed, worker_count)
-from repro.runtime.parallel import WORKERS_ENV
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -23,11 +22,11 @@ def _cell(seed):
 @pytest.mark.smoke
 class TestWorkerCount:
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
+        monkeypatch.setenv(env.WORKERS.name, "7")
         assert worker_count(3) == 3
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
+        monkeypatch.setenv(env.WORKERS.name, "5")
         assert worker_count() == 5
 
     def test_floor_of_one(self):
@@ -35,12 +34,12 @@ class TestWorkerCount:
         assert worker_count(-2) == 1
 
     def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
+        monkeypatch.setenv(env.WORKERS.name, "many")
         with pytest.raises(ValueError):
             worker_count()
 
     def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv(env.WORKERS.name, raising=False)
         assert worker_count() >= 1
 
 

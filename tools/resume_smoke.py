@@ -11,9 +11,10 @@ Scenario (driven by ``tools/ci.sh resume``):
    exactly a mid-run ``kill -9``.
 3. **Resume** — rerun with ``--resume <run-id>`` (same journal, same
    cache, fault plan cleared) and assert the resumed table is
-   byte-identical to the uninterrupted reference, that the journal shows
-   the completed cells replaying as ``cached``, and that the second run
-   exits cleanly.
+   byte-identical to the uninterrupted reference, that every cacheable
+   cell the killed run finished is journaled ``cached`` on resume (an
+   ordinary result-cache hit), that no cell is journaled ``lost``, and that
+   the second run exits cleanly.
 
 The experiment is shrunk (2 attack rows, tiny datasets, 2-epoch
 retrainings) by patching the *experiment driver's* namespace — zoo
@@ -147,18 +148,35 @@ def main():
                     events.append(json.loads(line))
                 except ValueError:
                     pass  # torn tail from the kill is expected
-        statuses = [e.get("status") for e in events
-                    if e.get("event") == "cell"]
-        # A resumed cell is "replayed" when the journal recorded it done,
-        # or "cached" when only the result cache had it.
-        replayed = sum(status in ("replayed", "cached")
-                       for status in statuses)
-        if not replayed:
-            raise SystemExit("journal records no replayed (cached) cells — "
-                             "the resume recomputed everything:\n"
-                             f"{statuses}")
-        print(f"   journal: {len(statuses)} cell events, {replayed} replayed "
-              "from cache on resume")
+        resumed_at = next(i for i, e in enumerate(events)
+                          if e.get("event") == "run-start" and e["resumed"])
+        cells = [((e.get("grid"), e.get("cell")), e.get("status"), i)
+                 for i, e in enumerate(events) if e.get("event") == "cell"]
+        # Cells with a result-cache entry; the grid's uncacheable cells
+        # (config=None) have none and simply recompute on resume.
+        entries = os.listdir(os.path.join(run_cache, "cells"))
+
+        def has_entry(grid, cell):
+            prefix = f"{grid}-{cell}-".replace(" ", "_").replace("/", "_")
+            return any(name.startswith(prefix) for name in entries)
+
+        finished = {key for key, status, i in cells
+                    if i < resumed_at and status == "done"
+                    and has_entry(*key)}
+        resumed_cells = {key: status for key, status, i in cells
+                         if i > resumed_at and key in finished}
+        # Every cached cell the killed run finished must come back as an
+        # ordinary result-cache hit, and no cell may be reported lost.
+        if not finished or set(resumed_cells) != finished or any(
+                status != "cached" for status in resumed_cells.values()):
+            raise SystemExit("resumed run did not journal every finished "
+                             "cell as cached:\n"
+                             f"{[status for _, status, _ in cells]}")
+        if any(status == "lost" for _, status, _ in cells):
+            raise SystemExit("journal records a lost cell on resume:\n"
+                             f"{[status for _, status, _ in cells]}")
+        print(f"   journal: {len(cells)} cell events; the {len(finished)} "
+              "cached cells finished before the kill are cached on resume")
     print("resume smoke: OK")
     return 0
 
