@@ -19,16 +19,18 @@ Grammar: comma-separated ``<kind>@<target>[:attempt=<n>]`` with kind one of
   cell; the heartbeat monitor must detect and retry it).
 
 ``<target>`` is either a numeric item index within a ``parallel_map`` batch
-(``crash@2``) or a *named scope* (``raise@zoo.detector``): long-running code
-outside the grid executor — notably the model zoo's training paths — calls
-:meth:`RuntimeFaultPlan.maybe_inject_scope` with its scope name, so chaos
-plans can target "the detector's training run" directly.  Scope attempts
-count per ``maybe_inject_scope`` call site via the caller's attempt number.
+(``crash@2``) or a *named scope* (``raise@zoo.detector``).  Both go through
+the one :meth:`RuntimeFaultPlan.maybe_inject`: the forked worker
+(:class:`repro.runtime.parallel.ForkedWorker`) fires it for each of its
+targets before running a request, and long-running code outside the grid
+executor — notably the model zoo's training paths — fires it with its scope
+name via :func:`maybe_inject_scope`, so chaos plans can target "the
+detector's training run" directly.  The caller supplies the attempt number.
 
 ``attempt`` defaults to 0, so by default a fault fires only on the first
 execution of the item and the *retry succeeds* — which is exactly the
-recovery path the runtime hardening promises.  Plans are read from the
-environment at call time, so forked workers inherit them for free.
+recovery path the runtime hardening promises.  Plans are parsed once in the
+parent; forked workers inherit the parsed plan.
 
 ``attempt`` also accepts *ranges*, so a fault can persist across attempts —
 the serving layer needs a replica that keeps crashing until its circuit
@@ -57,8 +59,8 @@ They use the same grammar with the store's scope name
 (``REPRO_FAULT_PLAN=torn-write@store``, ``bitrot@store:attempt=2``); the
 store counts *write attempts per scope*, so ``attempt=0`` faults only the
 first write and the retry/reload path recovers.  Disk kinds never fire
-from :meth:`RuntimeFaultPlan.maybe_inject` / ``maybe_inject_scope`` — the
-store asks for them explicitly via :func:`maybe_disk_fault`.
+from :meth:`RuntimeFaultPlan.maybe_inject` — the store asks for them
+explicitly via :func:`maybe_disk_fault`.
 """
 
 from __future__ import annotations
@@ -171,34 +173,23 @@ class RuntimeFaultPlan:
                 return fault
         return None
 
-    def _fire(self, fault: RuntimeFault, label: str, attempt: int) -> None:
+    def maybe_inject(self, target: Union[int, str], attempt: int = 0) -> None:
+        """Fire the planned fault for (target, attempt), if any.
+
+        ``target`` is a ``parallel_map`` item index or a named scope.
+        ``raise`` raises, ``crash`` kills the process, ``hang`` sleeps.
+        """
+        fault = self.lookup(target, attempt)
+        if fault is None or fault.kind not in _EXEC_KINDS:
+            return
         if fault.kind == "raise":
+            label = (f"item {target}" if isinstance(target, int)
+                     else f"scope {target!r}")
             raise InjectedFault(
                 f"injected failure for {label} attempt {attempt}")
         if fault.kind == "crash":
             os._exit(13)
-        if fault.kind == "hang":  # pragma: no cover - killed by the monitor
-            time.sleep(HANG_SECONDS)
-
-    def maybe_inject(self, index: int, attempt: int) -> None:
-        """Fire the planned fault for (item, attempt), if any.
-
-        ``raise`` raises, ``crash`` kills the process, ``hang`` sleeps.
-        """
-        fault = self.lookup(index, attempt)
-        if fault is not None and fault.kind in _EXEC_KINDS:
-            self._fire(fault, f"item {index}", attempt)
-
-    def maybe_inject_scope(self, scope: str, attempt: int = 0) -> None:
-        """Fire the planned fault for a named scope, if any.
-
-        Training paths and other long-running non-grid code call this with
-        a stable scope name (e.g. ``zoo.detector``) so chaos plans like
-        ``REPRO_FAULT_PLAN=raise@zoo.detector`` can target them.
-        """
-        fault = self.lookup(scope, attempt)
-        if fault is not None and fault.kind in _EXEC_KINDS:
-            self._fire(fault, f"scope {scope!r}", attempt)
+        time.sleep(HANG_SECONDS)  # pragma: no cover - killed by the monitor
 
     def disk_fault(self, scope: str, attempt: int = 0) -> Optional[str]:
         """Planned *disk* fault kind for (scope, attempt), or ``None``.
@@ -217,7 +208,7 @@ def maybe_inject_scope(scope: str, attempt: int = 0) -> None:
     """Module-level convenience: read the env plan, fire for ``scope``."""
     plan = RuntimeFaultPlan.from_env()
     if plan:
-        plan.maybe_inject_scope(scope, attempt)
+        plan.maybe_inject(scope, attempt)
 
 
 def maybe_disk_fault(scope: str, attempt: int = 0) -> Optional[str]:

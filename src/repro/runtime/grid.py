@@ -16,7 +16,8 @@ as a zero-argument closure plus an optional cache configuration:
 across forked workers via :func:`repro.runtime.parallel.parallel_map`
 (serial when ``REPRO_WORKERS=1``), stores fresh results, and records a
 :class:`~repro.runtime.instrument.CellRecord` per cell — including the nn
-forward/backward passes measured *inside* the worker that ran it.
+forward/backward passes and the :func:`~repro.runtime.instrument.scope`
+timings measured *inside* the worker that ran it.
 
 Cells must be independent and deterministic given their own seeds; results
 must be picklable (numpy arrays and the metric dataclasses are).
@@ -166,10 +167,11 @@ class GridRunner:
                                     workers=self.workers,
                                     on_result=checkpoint,
                                     on_fault=cell_fault)
-            for cell, (result, record) in zip(pending, outcomes):
+            for cell, (result, record, scopes) in zip(pending, outcomes):
                 record.grid = self.name
                 results[cell.key] = result
                 self.instrumentation.record_cell(record)
+                self.instrumentation.merge_scopes(scopes)
         self.cache.sweep()
         if log is not None:
             log.append({"event": "grid-end", "grid": self.name,
@@ -178,19 +180,26 @@ class GridRunner:
 
 
 def _execute_cell(cell: _Cell):
-    """Run one cell, measuring wall-clock and nn passes in *this* process.
+    """Run one cell, measuring wall-clock, nn passes and scopes in *this*
+    process; returns ``(result, record, scopes)``.
 
     Top-level (not a closure) so the serial path and the forked path execute
     byte-for-byte the same code; the measured counters are per-process, which
-    makes the deltas exact in workers too.
+    makes the deltas exact in workers too.  Scopes collect into a fresh dict
+    that the parent merges, so serial and forked cells count them alike.
     """
+    ledger = instrument.get_instrumentation()
+    outer, ledger.scopes = ledger.scopes, {}
     start_forward, start_backward = hooks.snapshot()
     start = time.perf_counter()
-    result = cell.fn()
+    try:
+        result = cell.fn()
+    finally:
+        scopes, ledger.scopes = ledger.scopes, outer
     elapsed = time.perf_counter() - start
     end_forward, end_backward = hooks.snapshot()
     record = instrument.CellRecord(
         grid="", cell=cell.label, seconds=elapsed,
         forward_passes=end_forward - start_forward,
         backward_passes=end_backward - start_backward)
-    return result, record
+    return result, record, scopes

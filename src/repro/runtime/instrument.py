@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..nn import hooks
 from . import env
 
 DEFAULT_BENCH_NAME = env.BENCH_JSON.default
@@ -59,19 +58,6 @@ class Instrumentation:
         self.cells.append(record)
 
     @contextmanager
-    def measure_cell(self, grid: str, cell: str):
-        """Time a cell inline and attribute nn passes to it."""
-        start_forward, start_backward = hooks.snapshot()
-        start = time.perf_counter()
-        yield
-        elapsed = time.perf_counter() - start
-        end_forward, end_backward = hooks.snapshot()
-        self.record_cell(CellRecord(
-            grid=grid, cell=cell, seconds=elapsed,
-            forward_passes=end_forward - start_forward,
-            backward_passes=end_backward - start_backward))
-
-    @contextmanager
     def scope(self, name: str):
         start = time.perf_counter()
         try:
@@ -80,6 +66,13 @@ class Instrumentation:
             total = self.scopes.setdefault(name, ScopeTotal())
             total.seconds += time.perf_counter() - start
             total.calls += 1
+
+    def merge_scopes(self, scopes: Dict[str, ScopeTotal]) -> None:
+        """Add scope totals measured elsewhere (one grid cell's)."""
+        for name, delta in scopes.items():
+            total = self.scopes.setdefault(name, ScopeTotal())
+            total.seconds += delta.seconds
+            total.calls += delta.calls
 
     def reset(self) -> None:
         self.cells.clear()
@@ -143,8 +136,8 @@ class Instrumentation:
         return "\n".join(lines)
 
 
-#: Process-global ledger.  Forked grid workers measure locally and ship the
-#: deltas back; everything lands here in the parent.
+#: Process-global ledger.  Grid cells measure into a fresh scope dict that
+#: travels back with their cell record; everything lands here in the parent.
 GLOBAL = Instrumentation()
 
 

@@ -8,7 +8,9 @@ only *reads* the shared models.  :func:`parallel_map` fans such cells across
 * **fork, not spawn** — cells are closures over live models and datasets;
   fork inherits them for free, so nothing but the *results* ever crosses a
   process boundary (as pickles through per-worker pipes; private pipes mean
-  a dying worker cannot wedge its siblings on a shared queue lock).
+  a dying worker cannot wedge its siblings on a shared queue lock).  The
+  child is a :class:`ForkedWorker`, the same primitive the serving
+  :class:`~repro.serving.replica.ReplicaPool` runs its replicas on.
 * **deterministic** — cells carry their own seeds, so scheduling order
   cannot change results; the output list is always in input order and
   bit-identical to the serial path (asserted in
@@ -184,55 +186,61 @@ def _serial_map(fn, items, budget: int, plan: "RuntimeFaultPlan",
     return results
 
 
-def _worker_loop(conn, fn, items) -> None:
-    """Worker: execute (index, attempt) tasks from the parent's pipe.
+def _serve(conn, handler: Callable, targets: Callable,
+           plan: "RuntimeFaultPlan") -> None:
+    """Child loop: answer ``(tag, attempt, payload)`` requests until EOF/None.
 
-    Each worker owns a private duplex pipe — no locks are shared between
-    workers, so a worker dying mid-operation (hard crash) cannot wedge its
-    siblings; the parent sees EOF on this worker's pipe and reschedules.
+    The fault plan fires for each of ``targets(tag)`` at ``attempt`` (none
+    for a negative attempt, i.e. a health probe) before the handler runs.  A
+    failure is answered with a one-line ``"<Type>: <message>"`` summary, the
+    text the serial paths report, next to the full traceback.
     """
-    from ..faults.runtime import RuntimeFaultPlan
-
-    plan = RuntimeFaultPlan.from_env()
     while True:
         try:
-            task = conn.recv()
+            request = conn.recv()
         except EOFError:  # parent is gone
             return
-        if task is None:
+        if request is None:
             return
-        index, attempt = task
+        tag, attempt, payload = request
         try:
-            plan.maybe_inject(index, attempt)
-            result = fn(items[index])
-        except BaseException:
-            conn.send((index, attempt, False, traceback.format_exc()))
+            if attempt >= 0:
+                for target in targets(tag):
+                    plan.maybe_inject(target, attempt)
+            result = handler(payload)
+        except BaseException as error:
+            conn.send((tag, attempt, False,
+                       (f"{type(error).__name__}: {error}",
+                        traceback.format_exc())))
         else:
-            conn.send((index, attempt, True, result))
+            conn.send((tag, attempt, True, result))
 
 
-class _Worker:
-    """Parent-side handle: process + private pipe + currently assigned task."""
+class ForkedWorker:
+    """A ``fork``\\ ed child serving ``handler`` on a private duplex pipe.
 
-    def __init__(self, ctx, fn, items):
+    No lock is shared between workers, so one dying mid-operation cannot
+    wedge its siblings; the parent sees EOF on its pipe.  The grid executor
+    and the serving replica pool both run on it, each with its own waiting.
+    """
+
+    def __init__(self, handler: Callable, targets: Callable,
+                 plan: "RuntimeFaultPlan"):
+        ctx = mp.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=_worker_loop,
-                                   args=(child_conn, fn, items), daemon=True)
+        self.process = ctx.Process(target=_serve,
+                                   args=(child_conn, handler, targets, plan),
+                                   daemon=True)
         self.process.start()
         child_conn.close()
-        self.task: Optional[Tuple[int, int]] = None  # (index, attempt)
+        self.task: Optional[Tuple] = None  # (tag, attempt) in flight
         self.started_at = 0.0
 
-    def assign(self, task: Tuple[int, int]) -> None:
-        self.task = task
+    def send(self, tag, attempt: int, payload) -> None:
+        """Ship one request; raises ``BrokenPipeError``/``OSError`` if dead."""
+        self.task = (tag, attempt)
         self.started_at = time.monotonic()
-        self.conn.send(task)
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
+        self.conn.send((tag, attempt, payload))
 
     def kill(self) -> None:
         if self.process.is_alive():
@@ -241,15 +249,30 @@ class _Worker:
         self.conn.close()
 
 
+def close_workers(workers: Sequence[ForkedWorker]) -> None:
+    """Ask every worker to exit, share one 5 s join deadline, then kill."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except (BrokenPipeError, OSError):
+            pass
+    deadline = time.monotonic() + 5.0
+    for worker in workers:
+        worker.process.join(timeout=max(0.1, deadline - time.monotonic()))
+        worker.kill()
+
+
 def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
                 budget: int, plan: "RuntimeFaultPlan",
                 on_result: Optional[OnResult],
                 on_fault: Optional[OnFault] = None) -> List:
-    ctx = mp.get_context("fork")
+    def spawn() -> ForkedWorker:
+        return ForkedWorker(lambda index: fn(items[index]),
+                            lambda index: (index,), plan)
+
     pending: Deque[Tuple[int, int]] = deque(
         (index, 0) for index in range(len(items)))
-    workers: List[_Worker] = [_Worker(ctx, fn, items)
-                              for _ in range(n_workers)]
+    workers: List[ForkedWorker] = [spawn() for _ in range(n_workers)]
 
     results: List = [None] * len(items)
     unfinished: Set[int] = set(range(len(items)))
@@ -258,22 +281,23 @@ def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
     respawn_budget = len(items) * (budget + 1)
     failure: Optional[WorkerError] = None
 
-    def retry_or_fail(index: int, attempt: int, reason: str) -> None:
+    def retry_or_fail(index: int, attempt: int, reason: str,
+                      remote_traceback: str = "") -> None:
         nonlocal failure
         if index not in unfinished:
             return  # completed just before we decided it was lost
         if on_fault is not None:
-            # First line only: tracebacks do not belong in journal events.
-            on_fault(index, attempt, reason.splitlines()[0])
+            on_fault(index, attempt, reason)
         if attempt < budget:
             logger.warning("cell %d %s on attempt %d; retrying", index,
                            reason, attempt)
             pending.append((index, attempt + 1))
         elif failure is None:
-            failure = WorkerError(index, f"{reason} (after {attempt + 1} "
-                                         f"attempts, no retries left)")
+            failure = WorkerError(index, (f"{reason} (after {attempt + 1} "
+                                          f"attempts, no retries left)\n"
+                                          f"{remote_traceback}").rstrip())
 
-    def replace(worker: _Worker, reason: str) -> None:
+    def replace(worker: ForkedWorker, reason: str) -> None:
         """Kill a crashed/hung worker, reschedule its task, spawn a spare."""
         nonlocal respawn_budget
         worker.kill()
@@ -286,13 +310,14 @@ def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
                 raise RuntimeError("parallel_map respawn budget exhausted "
                                    "(workers keep dying)")
             respawn_budget -= 1
-            workers.append(_Worker(ctx, fn, items))
+            workers.append(spawn())
 
     try:
         while unfinished and failure is None:
             for worker in workers:
                 if worker.task is None and pending:
-                    worker.assign(pending.popleft())
+                    index, attempt = pending.popleft()
+                    worker.send(index, attempt, index)
             busy = {worker.conn: worker for worker in workers
                     if worker.task is not None}
             if not busy:  # everything in flight was lost; loop to reassign
@@ -315,7 +340,9 @@ def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
                     if on_result is not None:
                         on_result(index, payload)
                 else:
-                    retry_or_fail(index, attempt, f"raised:\n{payload}")
+                    summary, remote = payload
+                    retry_or_fail(index, attempt, f"raised: {summary}",
+                                  remote)
             if timeout is not None:
                 now = time.monotonic()
                 for worker in [w for w in workers if w.task is not None]:
@@ -327,13 +354,7 @@ def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
                         replace(worker,
                                 f"timed out after {timeout:.1f}s")
     finally:
-        for worker in workers:
-            worker.shutdown()
-        deadline = time.monotonic() + 5.0
-        for worker in workers:
-            worker.process.join(
-                timeout=max(0.1, deadline - time.monotonic()))
-            worker.kill()
+        close_workers(workers)
     if failure is not None:
         raise failure
     return results

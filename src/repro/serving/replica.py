@@ -1,10 +1,10 @@
 """Replica pool: N perception workers with health probes and auto-respawn.
 
-Mirrors the hardening pattern of :mod:`repro.runtime.parallel` — each
-replica is a ``fork``\\ ed process on a **private duplex pipe** (a dying
-replica can never wedge its siblings on a shared queue lock) — but serves
-*requests* instead of draining a batch: the broker addresses a specific
-slot, ships one payload, and waits for that slot's answer under a
+Each replica is a :class:`~repro.runtime.parallel.ForkedWorker` — the same
+forked child on a private duplex pipe that runs
+:func:`~repro.runtime.parallel.parallel_map`'s grid cells — but the pool
+serves *requests* instead of draining a batch: the broker addresses a
+specific slot, ships one payload, and waits for that slot's answer under a
 wall-clock timeout.
 
 Failure taxonomy seen by the broker (:class:`ReplicaReply.status`):
@@ -16,7 +16,7 @@ Failure taxonomy seen by the broker (:class:`ReplicaReply.status`):
 * ``hung``    — no answer within the wall timeout; the replica is killed
   and respawned.
 
-Chaos hooks: inside each replica, :meth:`RuntimeFaultPlan.maybe_inject_scope`
+Chaos hooks: inside each replica, :meth:`RuntimeFaultPlan.maybe_inject`
 fires for scopes ``serve.replica`` (all slots) and ``serve.replica.<slot>``
 (one slot) with the broker's global request sequence number as the attempt
 — so ``REPRO_FAULT_PLAN="crash@serve.replica.0:attempt=0+"`` produces a
@@ -33,15 +33,12 @@ broker's :class:`~repro.serving.policy.LatencyModel`.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..faults.runtime import RuntimeFaultPlan
 from ..runtime import env
-from ..runtime.parallel import fork_available
+from ..runtime.parallel import ForkedWorker, close_workers, fork_available
 
 logger = logging.getLogger(__name__)
 
@@ -72,53 +69,9 @@ class PoolEvent:
     seq: int               # request sequence that exposed it (-1: probe)
 
 
-def _replica_loop(conn, slot: int, handler: Callable[[Any], Any]) -> None:
-    """Child process: answer (seq, payload) requests until EOF/None."""
-    plan = RuntimeFaultPlan.from_env()
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        seq, payload = request
-        if payload == _PING:
-            conn.send((seq, True, "pong"))
-            continue
-        try:
-            if seq >= 0:
-                plan.maybe_inject_scope(slot_scope(slot), seq)
-                plan.maybe_inject_scope(REPLICA_SCOPE, seq)
-            result = handler(payload)
-        except BaseException:
-            conn.send((seq, False, traceback.format_exc(limit=4)))
-        else:
-            conn.send((seq, True, result))
-
-
-class _ForkedReplica:
-    """Parent-side handle for one replica process."""
-
-    def __init__(self, ctx, slot: int, handler):
-        self.slot = slot
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=_replica_loop,
-                                   args=(child, slot, handler), daemon=True)
-        self.process.start()
-        child.close()
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
+def _targets(slot: int) -> Tuple[str, str]:
+    """Fault-plan scopes a request to ``slot`` fires, most specific first."""
+    return (slot_scope(slot), REPLICA_SCOPE)
 
 
 class ReplicaPool:
@@ -142,12 +95,9 @@ class ReplicaPool:
         self.events: List[PoolEvent] = []
         self.respawns = 0
         self._plan = RuntimeFaultPlan.from_env()
-        self._replicas: List[Optional[_ForkedReplica]] = [None] * self.n_replicas
-        if self.forked:
-            self._ctx = mp.get_context("fork")
-            for slot in range(self.n_replicas):
-                self._replicas[slot] = _ForkedReplica(self._ctx, slot,
-                                                      self.handler)
+        self._replicas: List[ForkedWorker] = (
+            [self._spawn(slot) for slot in range(self.n_replicas)]
+            if self.forked else [])
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "ReplicaPool":
@@ -157,27 +107,21 @@ class ReplicaPool:
         self.close()
 
     def close(self) -> None:
-        if not self.forked:
-            return
-        for replica in self._replicas:
-            if replica is not None:
-                replica.shutdown()
-        deadline = time.monotonic() + 5.0
-        for replica in self._replicas:
-            if replica is not None:
-                replica.process.join(
-                    timeout=max(0.1, deadline - time.monotonic()))
-                replica.kill()
+        close_workers(self._replicas)
+
+    def _spawn(self, slot: int) -> ForkedWorker:
+        def answer(payload: Any) -> Any:
+            return "pong" if payload == _PING else self.handler(payload)
+        return ForkedWorker(answer, lambda seq: _targets(slot), self._plan)
 
     def _respawn(self, slot: int, kind: str, seq: int) -> None:
         self.respawns += 1
         self.events.append(PoolEvent(slot=slot, kind=kind, seq=seq))
-        replica = self._replicas[slot]
-        if replica is not None:
-            replica.kill()
-        self._replicas[slot] = _ForkedReplica(self._ctx, slot, self.handler)
-        logger.warning("replica %d %s on request %d; respawned", slot, kind,
-                       seq)
+        if self.forked:  # in-process, the outcome is only synthesized
+            self._replicas[slot].kill()
+            self._replicas[slot] = self._spawn(slot)
+            logger.warning("replica %d %s on request %d; respawned", slot,
+                           kind, seq)
 
     # -- requests -------------------------------------------------------
     def call(self, slot: int, seq: int, payload: Any) -> ReplicaReply:
@@ -207,9 +151,8 @@ class ReplicaPool:
     def _call_forked(self, slot: int, seq: int, payload: Any,
                      respawn_kind: Optional[str] = None) -> ReplicaReply:
         replica = self._replicas[slot]
-        assert replica is not None
         try:
-            replica.conn.send((seq, payload))
+            replica.send(seq, seq, payload)
         except (BrokenPipeError, OSError):
             self._respawn(slot, respawn_kind or "crashed", seq)
             return ReplicaReply("crashed", detail="pipe closed on send")
@@ -218,7 +161,7 @@ class ReplicaPool:
             return ReplicaReply(
                 "hung", detail=f"no answer within {self.wall_timeout:.1f}s")
         try:
-            got_seq, ok, value = replica.conn.recv()
+            got_seq, _, ok, value = replica.conn.recv()
         except (EOFError, OSError):
             exitcode = replica.process.exitcode
             self._respawn(slot, respawn_kind or "crashed", seq)
@@ -228,7 +171,7 @@ class ReplicaPool:
             return ReplicaReply("raised", detail="stale reply sequence")
         if ok:
             return ReplicaReply("ok", value=value)
-        return ReplicaReply("raised", detail=str(value).splitlines()[-1])
+        return ReplicaReply("raised", detail=value[0])
 
     def _call_serial(self, slot: int, seq: int, payload: Any) -> ReplicaReply:
         """In-process fallback: planned crash/hang outcomes are synthesized.
@@ -237,25 +180,16 @@ class ReplicaPool:
         the planned fault's *observable outcome* is produced instead —
         keeping serve runs bit-identical to the forked path.
         """
-        if payload == _PING:
-            return ReplicaReply("ok", value="pong")
-        if seq >= 0:
-            for scope in (slot_scope(slot), REPLICA_SCOPE):
-                fault = self._plan.lookup(scope, seq)
-                if fault is not None and fault.kind == "crash":
-                    self.respawns += 1
-                    self.events.append(PoolEvent(slot, "crashed", seq))
-                    return ReplicaReply(
-                        "crashed", detail=f"injected crash@{scope}")
-                if fault is not None and fault.kind == "hang":
-                    self.respawns += 1
-                    self.events.append(PoolEvent(slot, "hung", seq))
-                    return ReplicaReply(
-                        "hung", detail=f"injected hang@{scope}")
         try:
-            if seq >= 0:
-                self._plan.maybe_inject_scope(slot_scope(slot), seq)
-                self._plan.maybe_inject_scope(REPLICA_SCOPE, seq)
+            # the forked child's order: each target in turn, then the handler
+            for scope in _targets(slot) if seq >= 0 else ():
+                fault = self._plan.lookup(scope, seq)
+                if fault is not None and fault.kind in ("crash", "hang"):
+                    status = "crashed" if fault.kind == "crash" else "hung"
+                    self._respawn(slot, status, seq)
+                    return ReplicaReply(
+                        status, detail=f"injected {fault.kind}@{scope}")
+                self._plan.maybe_inject(scope, seq)
             value = self.handler(payload)
         except Exception as error:
             return ReplicaReply("raised",

@@ -125,7 +125,7 @@ class DefenseRouter:
             raise RuntimeError("AdmissionScorer.calibrate() must run before "
                                "routing (threshold unset)")
         try:
-            self.plan.maybe_inject_scope(SCORER_SCOPE, seq)
+            self.plan.maybe_inject(SCORER_SCOPE, seq)
             score = self.scorer.score(frame)
         except Exception as error:
             self.scorer_faults += 1

@@ -101,6 +101,18 @@ class TestForkedRecovery:
         assert out == [0, 1, 4, 9]
         assert seen == {0: 0, 1: 1, 2: 4, 3: 9}
 
+    def test_fault_reasons_match_serial(self, monkeypatch):
+        monkeypatch.setenv(env.FAULT_PLAN.name, "raise@1")
+        reasons = {}
+        for workers in (1, 2):
+            seen = []
+            parallel_map(_square, range(3), workers=workers,
+                         on_fault=lambda *event: seen.append(event))
+            reasons[workers] = seen
+        assert reasons[1] == reasons[2] == [
+            (1, 0, "raised: InjectedFault: injected failure for item 1 "
+                   "attempt 0")]
+
     def test_recovery_is_bit_identical(self, monkeypatch):
         def cell(seed):
             return np.random.default_rng(seed).normal(size=8)

@@ -46,7 +46,7 @@ class TestDiskFaultPlan:
 
     def test_disk_kinds_do_not_fire_as_exec_faults(self):
         plan = RuntimeFaultPlan.parse("torn-write@store")
-        plan.maybe_inject_scope("store")  # must not raise / crash / hang
+        plan.maybe_inject("store")  # must not raise / crash / hang
 
     def test_exec_kinds_do_not_fire_as_disk_faults(self):
         plan = RuntimeFaultPlan.parse("raise@store")

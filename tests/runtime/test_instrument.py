@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, Sequential, Tensor, hooks
-from repro.runtime.instrument import CellRecord, Instrumentation
+from repro.runtime import GridRunner, ResultCache
+from repro.runtime.grid import _Cell, _execute_cell
+from repro.runtime.instrument import (CellRecord, Instrumentation,
+                                      get_instrumentation, scope)
+from repro.runtime.parallel import fork_available
 
 
 @pytest.mark.smoke
@@ -30,16 +34,22 @@ class TestPassCounters:
 
 @pytest.mark.smoke
 class TestInstrumentation:
-    def test_measure_cell_attributes_passes(self):
-        inst = Instrumentation()
+    def test_execute_cell_attributes_passes(self):
         model = Linear(4, 2)
-        with inst.measure_cell("grid", "cell"):
+
+        def cell():
             model(Tensor(np.zeros((1, 4), dtype=np.float32)))
             model(Tensor(np.zeros((1, 4), dtype=np.float32)))
-        record = inst.cells[0]
+            return "done"
+
+        result, record, scopes = _execute_cell(_Cell("cell", cell, None,
+                                                     "json"))
+        assert result == "done"
+        assert record.cell == "cell"
         assert record.forward_passes == 2
         assert record.backward_passes == 0
         assert record.seconds >= 0.0
+        assert scopes == {}
 
     def test_scope_accumulates(self):
         inst = Instrumentation()
@@ -79,3 +89,29 @@ class TestInstrumentation:
         assert "table1" in text
         assert "[cache]" in text
         assert "1/2 cells from cache" in text
+
+
+def _scoped_cell(i):
+    with scope("test.cell_scope"):
+        return i * i
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+def test_cell_scopes_reach_the_parent_ledger_from_workers(tmp_path):
+    """Scope timings taken inside cells land in the parent's ledger with
+    the same call counts whether the cells ran serially or in workers."""
+    calls = {}
+    for workers in (1, 2):
+        inst = Instrumentation()
+        grid = GridRunner(f"scopes{workers}", workers=workers,
+                          cache=ResultCache(root=str(tmp_path),
+                                            enabled=False),
+                          instrumentation=inst)
+        for i in range(4):
+            grid.add(i, lambda i=i: _scoped_cell(i))
+        assert grid.run() == {i: i * i for i in range(4)}
+        # merged into the grid's ledger, not also into the global one
+        assert "test.cell_scope" not in get_instrumentation().scopes
+        calls[workers] = {name: total.calls
+                          for name, total in inst.scopes.items()}
+    assert calls[1] == calls[2] == {"test.cell_scope": 4}

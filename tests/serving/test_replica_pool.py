@@ -24,6 +24,7 @@ def plan_env(monkeypatch):
     return set_plan
 
 
+@pytest.mark.faults
 class TestForked:
     @forked_only
     def test_ok_and_raised(self):
@@ -99,14 +100,22 @@ class TestSerial:
         plan_env(plan)
         calls = [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)]
         serial = ReplicaPool(_echo, n_replicas=2, forked=False)
-        serial_statuses = [serial.call(slot, seq, "x").status
-                           for slot, seq in calls]
+        serial_replies = [serial.call(slot, seq, "x") for slot, seq in calls]
         with ReplicaPool(_echo, n_replicas=2, wall_timeout=5.0,
                          forked=True) as forked:
-            forked_statuses = [forked.call(slot, seq, "x").status
-                               for slot, seq in calls]
-        assert serial_statuses == forked_statuses
-        assert serial_statuses == ["ok", "crashed", "ok", "raised", "ok"]
+            forked_replies = [forked.call(slot, seq, "x")
+                              for slot, seq in calls]
+        statuses = [reply.status for reply in serial_replies]
+        assert statuses == [reply.status for reply in forked_replies]
+        assert statuses == ["ok", "crashed", "ok", "raised", "ok"]
+        # wherever the handler ran, both modes report the same detail
+        # (a crash's detail is synthesized serially, observed when forked)
+        ran = [i for i, status in enumerate(statuses) if status != "crashed"]
+        assert ([serial_replies[i].detail for i in ran]
+                == [forked_replies[i].detail for i in ran])
+        assert serial_replies[3].detail == ("InjectedFault: injected failure "
+                                            "for scope 'serve.replica' "
+                                            "attempt 3")
 
     def test_bad_slot_raises(self):
         pool = ReplicaPool(_echo, n_replicas=1, forked=False)
