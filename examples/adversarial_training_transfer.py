@@ -40,12 +40,13 @@ def retrain_on(attack_names, base, train_images, train_targets, tag):
                                                     seed=0)
         adv_targets = [train_targets[i] for i in indices]
 
-    def train(model):
+    def train(model, checkpoint=None):
         from repro.models.training import train_detector
         model.load_state_dict(base.state_dict())  # fine-tune the base model
         images = np.concatenate([adv_images, train_images])
         targets = list(adv_targets) + list(train_targets)
-        train_detector(model, images, targets, epochs=20, seed=0, lr=1e-3)
+        train_detector(model, images, targets, epochs=20, seed=0, lr=1e-3,
+                       checkpoint=checkpoint)
 
     return cached_model(
         f"example-advtrain-{tag}", {"attacks": sorted(attack_names), "v": 2},

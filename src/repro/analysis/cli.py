@@ -9,8 +9,6 @@
     python -m repro.analysis audit --runs 3              # determinism audit
     python -m repro.analysis envdoc --check README.md    # env table in sync?
     python -m repro.analysis envdoc --write README.md    # regenerate it
-    python -m repro.analysis quarantine                  # corruption forensics
-    python -m repro.analysis quarantine --clear          # …then empty it
 
 Also reachable as ``python -m repro.cli analyze <verb>`` (the CI entry
 point).  Every verb supports ``--json``; exit status is non-zero when the
@@ -25,7 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
-from . import determinism, gradcheck, quarantine
+from . import determinism, gradcheck
 from .lint import LintConfig, RULES, lint_paths
 from ..runtime import env
 
@@ -74,17 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     envdoc.add_argument("--write", metavar="FILE", default=None,
                         help="regenerate the table inside FILE in place")
     envdoc.add_argument("--json", action="store_true", dest="as_json")
-
-    quar = sub.add_parser(
-        "quarantine",
-        help="classify quarantined artifacts (torn-header / truncation / "
-             "bitflip)")
-    quar.add_argument("--root", default=None,
-                      help="cache root to scan (default: $REPRO_CACHE_DIR "
-                           "or <repo>/.cache)")
-    quar.add_argument("--clear", action="store_true",
-                      help="delete the quarantined files after classifying")
-    quar.add_argument("--json", action="store_true", dest="as_json")
 
     return parser
 
@@ -193,21 +180,6 @@ def _cmd_envdoc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_quarantine(args: argparse.Namespace) -> int:
-    records = quarantine.scan(args.root)
-    removed = quarantine.clear(records) if args.clear else 0
-    if args.as_json:
-        print(json.dumps({"records": [r.to_json() for r in records],
-                          "cleared": removed}, indent=2))
-    else:
-        print(quarantine.render(records, args.root))
-        if args.clear:
-            print(f"cleared {removed} quarantined file(s)")
-    # Forensics, not a gate: quarantined artifacts were already handled
-    # (regenerated) by the store, so their presence is not a failure.
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "lint":
@@ -216,8 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_gradcheck(args)
     if args.verb == "audit":
         return _cmd_audit(args)
-    if args.verb == "quarantine":
-        return _cmd_quarantine(args)
     return _cmd_envdoc(args)
 
 

@@ -1,26 +1,25 @@
 """Model zoo: train-once-cache-forever accessors.
 
 Tests, examples, and every benchmark share the same pretrained weights.  The
-first call trains a model and caches its state dict under ``.cache/`` keyed
-by a configuration fingerprint; later calls load in milliseconds.  Set the
-``REPRO_CACHE_DIR`` environment variable to relocate the cache.
+first call trains a model and caches its state dict in the cache root
+(``$REPRO_CACHE_DIR``, default ``.cache/``) keyed by a configuration
+fingerprint; later calls load in milliseconds.  Every model — the detector,
+the regressor, the DDPM priors and the retrained variants of Tables III and
+IV — is loaded or trained by :func:`cached_model`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import inspect
-import json
 import os
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..data.driving import generate_training_set
 from ..data.signs import SignDataset
 from ..faults.runtime import maybe_inject_scope
-from ..nn import serialize
-from ..runtime import env, journal
+from ..runtime import env, journal, store
+from ..runtime.cache import cache_root, fingerprint
 from .detector import TinyDetector
 from .distance import DistanceRegressor
 from .training import EpochCheckpointer, train_detector, train_regressor
@@ -32,53 +31,57 @@ DETECTOR_TRAIN_SCENES = 1000
 DETECTOR_EPOCHS = 50
 REGRESSOR_TRAIN_FRAMES = 1500
 REGRESSOR_EPOCHS = 40
+DIFFUSION_EPOCHS = 15
+DIFFUSION_IMAGES = 400
 
 
-def cache_dir() -> str:
-    path = env.CACHE_DIR.get()
-    if path is None:
-        root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))))
-        path = os.path.join(root, ".cache")
-    os.makedirs(path, exist_ok=True)
-    return path
+def load_weights(path: str, module) -> bool:
+    """Load ``module`` from the artifact at ``path``; ``False`` on a miss.
 
-
-def _fingerprint(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _cache_path(name: str, config: dict) -> str:
-    return os.path.join(cache_dir(), f"{name}-{_fingerprint(config)}.npz")
-
-
-def _training_checkpoint(path: str, label: str) -> Optional[EpochCheckpointer]:
-    """Mid-training checkpointer for the artifact at ``path``, if enabled.
-
-    The snapshot lives next to the final artifact (``<path>.ckpt.npz``) and
-    is dropped by ``finalize()`` once the trained model is safely on disk.
+    A missing file is a miss; an unreadable one is quarantined by the store.
+    A readable state dict that no longer fits the module (a missing
+    parameter, a wrong shape) is quarantined as ``stale``.  Either way the
+    module is left as built, since ``load_state_dict`` checks before it
+    assigns.
     """
-    if env.CKPT_EVERY.get() <= 0:
-        return None
-    return EpochCheckpointer(path + ".ckpt.npz", label=label)
-
-
-def _run_train(train, model, checkpoint: Optional[EpochCheckpointer]) -> None:
-    """Call a ``cached_model`` train callback, passing the checkpointer
-    through when the callback's signature accepts it (2+ positionals)."""
+    state = store.try_load_state(path)
+    if state is None:
+        return False
     try:
-        parameters = inspect.signature(train).parameters.values()
-    except (TypeError, ValueError):  # builtins / partials without signature
-        train(model)
-        return
-    positional = [p for p in parameters
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    variadic = any(p.kind == p.VAR_POSITIONAL for p in parameters)
-    if len(positional) >= 2 or variadic:
+        module.load_state_dict(state)
+    except (KeyError, ValueError) as error:
+        store.quarantine(path, "stale", f"{type(error).__name__}: {error}")
+        return False
+    return True
+
+
+def cached_model(name: str, config: dict, build, train):
+    """Load the model ``name`` trained under ``config``, or train and cache it.
+
+    ``build()`` constructs the module whose weights are persisted, and
+    ``train(module, checkpoint)`` trains it in place.  ``checkpoint`` is the
+    mid-training :class:`EpochCheckpointer` (``None`` when
+    ``REPRO_CKPT_EVERY`` is 0) that the callback threads into its loops.
+    Training fires the ``zoo.<name>`` fault scope and journals
+    ``train-start`` / ``train-done``.
+    """
+    path = os.path.join(cache_root(), f"{name}-{fingerprint(config)}.npz")
+    model = build()
+    if not load_weights(path, model):
+        label = f"zoo.{name}"
+        maybe_inject_scope(label)
+        journal.emit({"event": "train-start", "model": name, "path": path})
+        # The snapshot sits next to the artifact and is dropped once the
+        # trained model is safely on disk.
+        checkpoint = (EpochCheckpointer(path + ".ckpt.npz", label=label)
+                      if env.CKPT_EVERY.get() > 0 else None)
         train(model, checkpoint)
-    else:
-        train(model)
+        store.save_state(path, model.state_dict())
+        if checkpoint is not None:
+            checkpoint.finalize()
+        journal.emit({"event": "train-done", "model": name, "path": path})
+    model.eval()
+    return model
 
 
 def get_sign_dataset(n_scenes: int = DETECTOR_TRAIN_SCENES, seed: int = 0
@@ -96,56 +99,32 @@ def get_driving_data(n_frames: int = REGRESSOR_TRAIN_FRAMES, seed: int = 0
 
 
 def get_detector(seed: int = 0, n_scenes: int = DETECTOR_TRAIN_SCENES,
-                 epochs: int = DETECTOR_EPOCHS, force_retrain: bool = False
-                 ) -> TinyDetector:
+                 epochs: int = DETECTOR_EPOCHS) -> TinyDetector:
     """Pretrained stop-sign detector (cached)."""
-    config = {"seed": seed, "scenes": n_scenes, "epochs": epochs, "v": 6}
-    path = _cache_path("detector", config)
-    model = TinyDetector(rng=np.random.default_rng(seed))
-    if not force_retrain and serialize.try_load_module(path, model):
-        model.eval()
-        return model
-    maybe_inject_scope("zoo.detector")
-    journal.emit({"event": "train-start", "model": "detector", "path": path})
-    dataset = get_sign_dataset(n_scenes, seed=seed)
-    checkpoint = _training_checkpoint(path, "zoo.detector")
-    train_detector(model, dataset.images(),
-                   [scene.boxes for scene in dataset.scenes],
-                   epochs=epochs, seed=seed, checkpoint=checkpoint)
-    serialize.save_module(path, model)
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "detector", "path": path})
-    model.eval()
-    return model
+    def train(model, checkpoint):
+        dataset = get_sign_dataset(n_scenes, seed=seed)
+        train_detector(model, dataset.images(),
+                       [scene.boxes for scene in dataset.scenes],
+                       epochs=epochs, seed=seed, checkpoint=checkpoint)
+
+    return cached_model(
+        "detector", {"seed": seed, "scenes": n_scenes, "epochs": epochs,
+                     "v": 6},
+        lambda: TinyDetector(rng=np.random.default_rng(seed)), train)
 
 
 def get_regressor(seed: int = 0, n_frames: int = REGRESSOR_TRAIN_FRAMES,
-                  epochs: int = REGRESSOR_EPOCHS, force_retrain: bool = False
-                  ) -> DistanceRegressor:
+                  epochs: int = REGRESSOR_EPOCHS) -> DistanceRegressor:
     """Pretrained lead-distance regressor (cached)."""
-    config = {"seed": seed, "frames": n_frames, "epochs": epochs, "v": 6}
-    path = _cache_path("regressor", config)
-    model = DistanceRegressor(rng=np.random.default_rng(seed))
-    if not force_retrain and serialize.try_load_module(path, model):
-        model.eval()
-        return model
-    maybe_inject_scope("zoo.regressor")
-    journal.emit({"event": "train-start", "model": "regressor", "path": path})
-    images, distances = get_driving_data(n_frames, seed=seed)
-    checkpoint = _training_checkpoint(path, "zoo.regressor")
-    train_regressor(model, images, distances, epochs=epochs, seed=seed,
-                    checkpoint=checkpoint)
-    serialize.save_module(path, model)
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "regressor", "path": path})
-    model.eval()
-    return model
+    def train(model, checkpoint):
+        images, distances = get_driving_data(n_frames, seed=seed)
+        train_regressor(model, images, distances, epochs=epochs, seed=seed,
+                        checkpoint=checkpoint)
 
-
-DIFFUSION_EPOCHS = 15
-DIFFUSION_IMAGES = 400
+    return cached_model(
+        "regressor", {"seed": seed, "frames": n_frames, "epochs": epochs,
+                      "v": 6},
+        lambda: DistanceRegressor(rng=np.random.default_rng(seed)), train)
 
 
 def get_diffusion(domain: str, seed: int = 0, epochs: int = DIFFUSION_EPOCHS,
@@ -159,56 +138,16 @@ def get_diffusion(domain: str, seed: int = 0, epochs: int = DIFFUSION_EPOCHS,
 
     if domain not in ("signs", "driving"):
         raise ValueError("domain must be 'signs' or 'driving'")
-    config = {"domain": domain, "seed": seed, "epochs": epochs,
-              "images": n_images, "v": 1}
-    path = _cache_path("diffusion", config)
-    model = DenoisingDiffusionModel(seed=seed)
-    state = serialize.try_load_state(path)
-    if state is not None:
-        try:
-            model.load_state_dict(state)
-            model.network.eval()
-            return model
-        except serialize.CHECKPOINT_ERRORS:
-            serialize.logger.warning(
-                "diffusion checkpoint %s does not fit the model; retraining",
-                path)
-    maybe_inject_scope("zoo.diffusion")
-    journal.emit({"event": "train-start", "model": "diffusion", "path": path})
-    if domain == "signs":
-        images = SignDataset(n_images, seed=seed + 50).images()
-    else:
-        images, _ = generate_training_set(n_images, seed=seed + 50)
-    checkpoint = _training_checkpoint(path, "zoo.diffusion")
-    model.train(images, epochs=epochs, checkpoint=checkpoint)
-    serialize.save_state(path, model.state_dict())
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "diffusion", "path": path})
-    return model
+    ddpm = DenoisingDiffusionModel(seed=seed)
 
+    def train(network, checkpoint):
+        if domain == "signs":
+            images = SignDataset(n_images, seed=seed + 50).images()
+        else:
+            images, _ = generate_training_set(n_images, seed=seed + 50)
+        ddpm.train(images, epochs=epochs, checkpoint=checkpoint)
 
-def cached_model(name: str, config: dict, build, train) -> object:
-    """Generic cache wrapper for defense-retrained model variants.
-
-    ``build()`` constructs the model; ``train(model)`` — or
-    ``train(model, checkpoint)`` for callbacks that thread the mid-training
-    :class:`EpochCheckpointer` into their loops — trains it in place.  Used
-    by adversarial training / contrastive learning, which produce many
-    retrained variants (one per adversarial-example source).
-    """
-    path = _cache_path(name, config)
-    model = build()
-    if serialize.try_load_module(path, model):
-        model.eval()
-        return model
-    maybe_inject_scope(f"zoo.{name}")
-    journal.emit({"event": "train-start", "model": name, "path": path})
-    checkpoint = _training_checkpoint(path, f"zoo.{name}")
-    _run_train(train, model, checkpoint)
-    serialize.save_module(path, model)
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": name, "path": path})
-    model.eval()
-    return model
+    cached_model("diffusion", {"domain": domain, "seed": seed,
+                               "epochs": epochs, "images": n_images, "v": 1},
+                 lambda: ddpm.network, train)
+    return ddpm

@@ -110,19 +110,25 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        for name, param in params.items():
+        """Copy ``state`` into the parameters and buffers.
+
+        Every entry is checked before any is assigned, so a state dict that
+        does not fit (a missing parameter, a wrong shape) raises
+        ``KeyError`` / ``ValueError`` and leaves the module untouched.
+        """
+        targets = []
+        for name, param in self.named_parameters():
             if name not in state:
                 raise KeyError(f"missing parameter {name!r} in state dict")
-            if param.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: "
-                    f"{param.data.shape} vs {state[name].shape}")
-            param.data[...] = state[name]
-        for name, buf in self.named_buffers():
-            key = "buffer." + name
-            if key in state:
-                buf[...] = state[key]
+            targets.append((name, param.data))
+        targets += [("buffer." + name, buf) for name, buf
+                    in self.named_buffers() if "buffer." + name in state]
+        for key, array in targets:
+            if array.shape != state[key].shape:
+                raise ValueError(f"shape mismatch for {key!r}: "
+                                 f"{array.shape} vs {state[key].shape}")
+        for key, array in targets:
+            array[...] = state[key]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

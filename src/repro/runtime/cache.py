@@ -37,13 +37,18 @@ from . import codecs, env, store
 logger = logging.getLogger(__name__)
 
 
-def _default_root() -> str:
+def cache_root() -> str:
+    """The cache root (``$REPRO_CACHE_DIR`` or ``<repo>/.cache``).
+
+    Zoo checkpoints live at its top level, grid cells under ``cells/`` and
+    run journals under ``runs/``.
+    """
     path = env.CACHE_DIR.get()
     if path is None:
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))))
         path = os.path.join(root, ".cache")
-    return os.path.join(path, "cells")
+    return path
 
 
 def cache_enabled() -> bool:
@@ -81,7 +86,8 @@ class ResultCache:
 
     def __init__(self, root: Optional[str] = None,
                  enabled: Optional[bool] = None):
-        self.root = root if root is not None else _default_root()
+        self.root = (root if root is not None
+                     else os.path.join(cache_root(), "cells"))
         self._enabled = enabled
 
     @property
@@ -143,15 +149,6 @@ class ResultCache:
             return
         store.save_json(self.path(name, config, "json"),
                         codecs.to_jsonable(value))
-
-    def memo_json(self, name: str, config: Dict[str, Any],
-                  compute: Callable[[], Any]) -> Any:
-        cached = self.load_json(name, config)
-        if cached is not None:
-            return cached
-        value = compute()
-        self.save_json(name, config, value)
-        return value
 
     # -- GC: max-size LRU sweep -----------------------------------------
     def sweep(self, max_bytes: Optional[int] = None) -> int:

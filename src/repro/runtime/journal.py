@@ -38,6 +38,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Set
 
 from . import env
+from .cache import cache_root
 
 logger = logging.getLogger(__name__)
 
@@ -45,16 +46,6 @@ JOURNAL_FILENAME = "journal.jsonl"
 _RUN_ID_RE = re.compile(r"^run-(\d+)$")
 _TRAIN_EVENTS = ("train-start", "train-progress", "train-resume",
                  "train-done")
-
-
-def cache_root() -> str:
-    """The cache root (``$REPRO_CACHE_DIR`` or ``<repo>/.cache``)."""
-    path = env.CACHE_DIR.get()
-    if path is None:
-        root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))))
-        path = os.path.join(root, ".cache")
-    return path
 
 
 def runs_root() -> str:

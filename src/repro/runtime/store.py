@@ -23,9 +23,8 @@ a *valid* artifact:
   ``enospc@store``, ``bitrot@store``) fire here, keyed by a write-attempt
   counter, so the recovery path above is itself testable.
 
-Legacy digest-less ``.npz`` / JSON artifacts (written before this module
-existed) still load; they just don't get digest verification beyond the
-zip CRC.
+This module is the only one that knows the on-disk format.  An artifact
+without a digest is not trusted: it is quarantined like a corrupt one.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ QUARANTINE_KEEP = 16
 STORE_SCOPE = "store"
 
 #: everything a corrupt / truncated / wrong-layout artifact can raise while
-#: being opened and read (mirrors ``repro.nn.serialize.CHECKPOINT_ERRORS``).
+#: being opened and read.
 #: NotImplementedError / zlib.error / IndexError look exotic but are what
 #: zipfile raises when a bit flip lands in a header's compression-method,
 #: deflate stream, or offset field — found by the byte-level fuzz sweep.
@@ -281,19 +280,16 @@ def save_state(path: str, state: Dict[str, np.ndarray]) -> None:
 
 
 def load_state(path: str) -> Dict[str, np.ndarray]:
-    """Strict load: raises on unreadable archives and digest mismatches."""
+    """Strict load: raises on unreadable archives and on a missing or
+    mismatched content digest."""
     with np.load(path) as archive:
         state = {key: archive[key] for key in archive.files}
-    recorded = state.pop(DIGEST_KEY, None)
-    if recorded is not None:
-        actual = state_digest(state)
-        if str(recorded) != actual:
-            raise CorruptArtifact(
-                f"content digest mismatch in {path}: recorded "
-                f"{str(recorded)[:12]}…, actual {actual[:12]}…")
-    else:
-        logger.debug("artifact %s has no embedded digest (legacy layout); "
-                     "only the zip CRC protects it", path)
+    recorded = str(state.pop(DIGEST_KEY, "<none>"))
+    actual = state_digest(state)
+    if recorded != actual:
+        raise CorruptArtifact(
+            f"content digest mismatch in {path}: recorded "
+            f"{recorded[:12]}…, actual {actual[:12]}…")
     return state
 
 
@@ -341,20 +337,19 @@ def save_json(path: str, payload: Any) -> None:
 
 
 def load_json(path: str) -> Any:
-    """Strict JSON load: raises on parse errors and digest mismatches."""
+    """Strict JSON load: raises on parse errors, a missing digest envelope
+    and digest mismatches."""
     with open(path) as handle:
         document = json.load(handle)
-    if (isinstance(document, dict)
+    if not (isinstance(document, dict)
             and set(document) == {"digest", "payload"}):
-        actual = json_digest(document["payload"])
-        if document["digest"] != actual:
-            raise CorruptArtifact(
-                f"content digest mismatch in {path}: recorded "
-                f"{str(document['digest'])[:12]}…, actual {actual[:12]}…")
-        return document["payload"]
-    # Legacy artifact written before the envelope existed.
-    logger.debug("artifact %s has no digest envelope (legacy layout)", path)
-    return document
+        raise CorruptArtifact(f"{path} has no digest envelope")
+    actual = json_digest(document["payload"])
+    if document["digest"] != actual:
+        raise CorruptArtifact(
+            f"content digest mismatch in {path}: recorded "
+            f"{str(document['digest'])[:12]}…, actual {actual[:12]}…")
+    return document["payload"]
 
 
 def try_load_json(path: str) -> Optional[Any]:

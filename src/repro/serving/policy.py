@@ -37,9 +37,9 @@ from ..runtime.parallel import stable_seed
 
 @dataclass
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter."""
+    """Bounded exponential backoff with deterministic jitter (the retry
+    budget itself is ``BrokerConfig.retries``)."""
 
-    retries: int = 2            # attempts beyond the first
     base_ms: float = 2.0        # backoff before the first retry
     multiplier: float = 2.0     # growth per attempt
     max_ms: float = 50.0        # backoff cap

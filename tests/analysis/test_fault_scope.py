@@ -60,7 +60,8 @@ def test_cached_model_scope_uses_model_name(monkeypatch, tmp_path):
         return nn.Linear(2, 1, rng=np.random.default_rng(0))
 
     with pytest.raises(InjectedFault, match="zoo.variant"):
-        zoo.cached_model("variant", {"v": 0}, build, lambda model: None)
+        zoo.cached_model("variant", {"v": 0}, build,
+                         lambda model, checkpoint: None)
 
 
 def test_scoped_faults_stay_deterministic_under_audit(monkeypatch):

@@ -142,17 +142,27 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(bad)
 
+    def test_failed_load_assigns_nothing(self):
+        model = nn.Sequential(nn.Linear(3, 4), nn.Linear(4, 2))
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        bad = {k: v + 1 for k, v in before.items()}
+        bad["layer1.weight"] = np.zeros((5, 5), dtype=np.float32)
+        with pytest.raises(ValueError):
+            model.load_state_dict(bad)
+        after = model.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
     def test_buffers_in_state_dict(self):
         bn = nn.BatchNorm2d(3)
         assert "buffer.running_mean" in bn.state_dict()
 
     def test_file_roundtrip(self, tmp_path):
-        from repro.nn import serialize
+        from repro.runtime import store
         model = nn.Linear(4, 3, rng=np.random.default_rng(5))
         path = str(tmp_path / "model.npz")
-        serialize.save_module(path, model)
+        store.save_state(path, model.state_dict())
         model2 = nn.Linear(4, 3, rng=np.random.default_rng(9))
-        serialize.load_module(path, model2)
+        model2.load_state_dict(store.load_state(path))
         np.testing.assert_array_equal(model.weight.data, model2.weight.data)
 
 

@@ -71,11 +71,17 @@ class TestStateRoundTrip:
         assert store.fault_events() == []
 
     def test_legacy_digestless_artifact_loads(self, tmp_path):
+        # A digest-less archive is not trusted: it is quarantined, not loaded.
         path = str(tmp_path / "legacy.npz")
-        state = _state()
         with open(path, "wb") as handle:
-            np.savez(handle, **state)
-        _assert_same_state(store.load_state(path), state)
+            np.savez(handle, **_state())
+        with pytest.raises(store.CorruptArtifact, match="<none>"):
+            store.load_state(path)
+        assert store.try_load_state(path) is None
+        (event,) = store.fault_events()
+        assert event.kind == "digest-mismatch"
+        assert os.path.exists(event.quarantined_to)
+        assert not os.path.exists(path)
 
     def test_overwrite_replaces_atomically(self, tmp_path):
         path = str(tmp_path / "ckpt.npz")
@@ -216,10 +222,17 @@ class TestJsonArtifacts:
         assert [e.kind for e in store.fault_events()] == ["unreadable"]
 
     def test_legacy_json_without_envelope_loads(self, tmp_path):
+        # JSON without a digest envelope is quarantined, not loaded.
         path = str(tmp_path / "legacy.json")
         with open(path, "w") as handle:
             json.dump({"plain": True}, handle)
-        assert store.load_json(path) == {"plain": True}
+        with pytest.raises(store.CorruptArtifact, match="no digest envelope"):
+            store.load_json(path)
+        assert store.try_load_json(path) is None
+        (event,) = store.fault_events()
+        assert event.kind == "digest-mismatch"
+        assert os.path.exists(event.quarantined_to)
+        assert not os.path.exists(path)
 
     def test_payload_shaped_like_envelope_is_not_mistaken(self, tmp_path):
         # A user payload with exactly {digest, payload} keys still verifies,

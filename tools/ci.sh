@@ -16,9 +16,9 @@
 #   perfbench/ (wrapper restore, output bands, metric names); the tests that
 #   need the benchmark's trained zoo skip when it is absent.
 # Analyze tier (opt-in): the repro.analysis toolchain — AST lint over
-#   src/repro, tests, benchmarks and tools (intentionally-broken lint fixtures
-#   excluded), the env-var table drift check, the determinism audit with
-#   one real Table II cell per defense family, the analysis test suite
+#   src/repro, tests, benchmarks, tools and examples (intentionally-broken
+#   lint fixtures excluded), the env-var table drift check, the determinism
+#   audit with one real Table II cell per defense family, the analysis test suite
 #   (lint rules, gradcheck, determinism audit, sanitizers), and the smoke
 #   tier re-run under live REPRO_SANITIZE=nan,alias hooks.
 # Resume tier (opt-in): crash-consistency end to end — tools/resume_smoke.py
@@ -37,7 +37,7 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 if [[ "${1:-}" == "analyze" ]]; then
     echo "== CI analyze: static lint =="
     python -m repro.cli analyze lint --exclude tests/analysis/fixtures \
-        src/repro tests benchmarks tools
+        src/repro tests benchmarks tools examples
 
     echo "== CI analyze: env-var table drift =="
     python -m repro.cli analyze envdoc --check README.md
