@@ -217,6 +217,20 @@ def _conv2d_stride1_batched():
     return forward, [("x", x)] + _params(layer)
 
 
+@case("conv2d_rect_stride1")
+def _conv2d_rect_stride1():
+    # A non-square kernel with padding on one axis only: each sample's
+    # span depends on kh, kw and the padded width separately.
+    rng = np.random.default_rng(81)
+    layer = nn.Conv2d(2, 3, (1, 3), stride=1, padding=(0, 1), rng=rng)
+    x = Tensor(rng.normal(size=(2, 2, 3, 5)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(layer(x), np.random.default_rng(82))
+
+    return forward, [("x", x)] + _params(layer)
+
+
 @case("batchnorm2d")
 def _batchnorm2d():
     rng = np.random.default_rng(31)

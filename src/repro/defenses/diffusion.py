@@ -182,6 +182,11 @@ class DiffPIRDefense(InputDefense):
                  sigma_n: float = 0.12, seed: int = 0):
         if t_start >= model.timesteps:
             raise ValueError("t_start must be < model.timesteps")
+        # Fewer than one step returns the rescaled input undenoised; more
+        # than t_start repeats timesteps of the integer schedule.
+        if not 1 <= n_steps <= t_start:
+            raise ValueError(f"n_steps must be in [1, t_start={t_start}], "
+                             f"got {n_steps}")
         self.model = model
         self.t_start = int(t_start)
         self.n_steps = int(n_steps)

@@ -3,11 +3,12 @@
 The Discussion's operational argument: classical preprocessing costs ~20 ms
 per frame while DiffPIR costs 1-2 s, which rules it out for the 20 Hz
 perception loop.  We measure wall-clock per frame for every input defense on
-driving-frame batches.
+driving-frame batches: the median over ``repeats`` timed batches.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Dict, List
@@ -42,11 +43,12 @@ def run(n_frames: int = 16, repeats: int = 3) -> List[OverheadRow]:
     rows: List[OverheadRow] = []
     for name, defense in defenses.items():
         defense.purify(images[:2])  # warm-up
-        start = time.perf_counter()
+        seconds = []
         for _ in range(repeats):
+            start = time.perf_counter()
             defense.purify(images)
-        elapsed = (time.perf_counter() - start) / (repeats * len(images))
-        ms = elapsed * 1000.0
+            seconds.append(time.perf_counter() - start)
+        ms = statistics.median(seconds) / len(images) * 1000.0
         rows.append(OverheadRow(name, ms, ms <= 50.0))
     return rows
 

@@ -1,11 +1,12 @@
 """Differentiable neural-network primitives built on :class:`repro.nn.Tensor`.
 
 Convolution and pooling hand their heavy lifting to numpy's BLAS-backed
-``matmul``: stride-1 convolutions as shifted GEMMs over a padded copy of the
-input, strided convolutions and pooling through im2col.  Each function
-constructs a :class:`Tensor` with a custom backward closure rather than being
-composed from elementwise primitives, which keeps both the forward and the
-backward pass fast enough to train the paper's models on a CPU.
+``matmul``: stride-1 convolutions as per-sample shifted GEMMs over a padded,
+batch-major copy of the input, strided convolutions and pooling through
+im2col.  Each function constructs a :class:`Tensor` with a custom backward
+closure rather than being composed from elementwise primitives, which keeps
+both the forward and the backward pass fast enough to train the paper's
+models on a CPU.
 """
 
 from __future__ import annotations
@@ -106,33 +107,48 @@ def _tap_phases(kernel: int, stride: int, pad: int, size: int,
 
 def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
                     padding: Tuple[int, int]) -> Tuple[np.ndarray, int, list]:
-    """Zero-pad ``x`` into one channel-major, row-flattened buffer.
+    """Zero-pad ``x`` into one batch-major, row-flattened buffer.
 
-    Returns the ``(C, N*Hp*Wp)`` buffer, the span of output positions every
-    tap can read, and each tap's flat offset ``i*Wp + j``.  Output position
-    ``p`` of a stride-1 conv is the sum over taps of
-    ``w[:, :, i, j] @ buffer[:, p + offset]``; positions whose row or column
-    run into the padding (or into the next image) are garbage and cropped.
+    Returns the ``(N, C, Hp*Wp)`` buffer, the span of positions every tap
+    can read within one sample, and each tap's flat offset ``i*Wp + j``.
+    Output position ``p = r*Wp + s`` of sample ``n`` of a stride-1 conv is
+    the sum over taps of ``w[:, :, i, j] @ buffer[n, :, p + offset]``; the
+    span ends at the last real output position, and positions whose column
+    runs into the padding (``s >= out_w``) are garbage and cropped by
+    :func:`_span_rows`.  With no padding the buffer is a reshape of ``x``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     ph, pw = padding
     hp, wp = h + 2 * ph, w + 2 * pw
-    padded = np.zeros((c, n, hp, wp), dtype=x.dtype)
-    padded[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
+    if ph or pw:
+        padded = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
-    span = n * hp * wp - offsets[-1]
-    return padded.reshape(c, n * hp * wp), span, offsets
+    return x.reshape(n, c, hp * wp), hp * wp - offsets[-1], offsets
+
+
+def _span_rows(flat: np.ndarray, out_size: Tuple[int, int],
+               row: int) -> np.ndarray:
+    """View a ``(..., span)`` buffer of :func:`_shifted_layout` positions
+    as its ``(..., out_h, out_w)`` crop, rows ``row`` positions apart."""
+    step = flat.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=flat.shape[:-1] + out_size,
+        strides=flat.strides[:-1] + (row * step, step))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """2-D cross-correlation, ``x``: (N,C,H,W), ``weight``: (F,C,kh,kw).
 
-    Stride-1 convs run as kh*kw shifted GEMMs over one padded copy of the
-    input (see :func:`_shifted_layout`), in both passes, with no im2col
-    buffer.  Strided convs gather patches with :func:`im2col` and run one
-    GEMM per pass.
+    Stride-1 convs run, one sample at a time, as kh*kw shifted GEMMs over
+    one padded, batch-major copy of the input (see :func:`_shifted_layout`),
+    in both passes, with no im2col buffer; the weight gradient alone runs
+    one GEMM per tap over a channel-major copy, so its float sums keep
+    their order.  Strided convs gather patches with :func:`im2col` and run
+    one GEMM per pass.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -146,14 +162,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         out_h, out_w = hp - kh + 1, wp - kw + 1
         flat, span, offsets = _shifted_layout(x.data, (kh, kw), padding)
         taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
-        full = np.empty((f, flat.shape[1]), dtype=dtype)
-        acc, product = full[:, :span], np.empty((f, span), dtype=dtype)
-        np.matmul(taps[0], flat[:, :span], out=acc)
-        for tap, offset in zip(taps[1:], offsets[1:]):
-            acc += np.matmul(tap, flat[:, offset:offset + span], out=product)
+        # One sample at a time, so the accumulator stays in cache across
+        # the taps; it is span-wide and contiguous because `+=` into a
+        # strided slice of a full-width buffer costs twice as much.
+        acc = np.empty((f, span), dtype=dtype)
+        product = np.empty_like(acc)
+        crop = _span_rows(acc, (out_h, out_w), wp)
         out = np.empty((n, f, out_h, out_w), dtype=dtype)
-        np.copyto(out, full.reshape(f, n, hp, wp)[:, :, :out_h, :out_w]
-                  .transpose(1, 0, 2, 3))
+        for sample, out_n in zip(flat, out):
+            np.matmul(taps[0], sample[:, :span], out=acc)
+            for tap, offset in zip(taps[1:], offsets[1:]):
+                acc += np.matmul(tap, sample[:, offset:offset + span],
+                                 out=product)
+            if bias is None:
+                np.copyto(out_n, crop)
+            else:
+                np.add(crop, bias.data.reshape(f, 1, 1), out=out_n)
     else:
         cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
         w2d = weight.data.reshape(f, c * kh * kw)
@@ -162,8 +186,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # trained regressor and of every cached result built on it.
         out = (np.matmul(cols.transpose(0, 2, 1), w2d.T).transpose(0, 2, 1)
                .reshape(n, f, out_h, out_w))
-    if bias is not None:
-        out += bias.data.reshape(1, f, 1, 1)
+        if bias is not None:
+            out += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -171,23 +195,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if shifted:
-            g_full = np.zeros((f, n, hp, wp), dtype=dtype)
-            g_full[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
-            g_span = g_full.reshape(f, n * hp * wp)[:, :span]
             if weight.requires_grad:
-                grad_taps = np.stack([g_span @ flat[:, offset:offset + span].T
-                                      for offset in offsets])
+                # One K = N*Hp*Wp GEMM per tap over channel-major copies:
+                # summing per sample would reorder the float sums, and so
+                # the bits of every trained weight.
+                total = n * hp * wp
+                g_major = np.zeros((f, n, hp, wp), dtype=dtype)
+                g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
+                g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
+                x_major = np.ascontiguousarray(
+                    flat.transpose(1, 0, 2)).reshape(c, total)
+                grad_taps = np.stack([
+                    g_major @ x_major[:, offset:offset + g_major.shape[1]].T
+                    for offset in offsets])
                 _accumulate(weight, grad_taps.reshape(kh, kw, f, c)
                             .transpose(2, 3, 0, 1))
             if x.requires_grad:
-                grad_flat = np.zeros_like(flat)
+                g_span = np.zeros((f, span), dtype=dtype)
+                g_crop = _span_rows(g_span, (out_h, out_w), wp)
+                grad = np.empty((c, hp * wp), dtype=dtype)
+                grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
                 product = np.empty((c, span), dtype=dtype)
-                for tap, offset in zip(taps, offsets):
-                    grad_flat[:, offset:offset + span] += np.matmul(
-                        tap.T, g_span, out=product)
-                grad_x = grad_flat.reshape(c, n, hp, wp)[:, :, ph:ph + h,
-                                                         pw:pw + w]
-                _accumulate(x, grad_x.transpose(1, 0, 2, 3))
+                grad_x = np.empty((n, c, h, w), dtype=dtype)
+                for g_n, grad_n in zip(g, grad_x):
+                    g_crop[...] = g_n
+                    grad.fill(0)
+                    for tap, offset in zip(taps, offsets):
+                        grad[:, offset:offset + span] += np.matmul(
+                            tap.T, g_span, out=product)
+                    grad_n[...] = grad_crop
+                _accumulate(x, grad_x)
         else:
             g2d = g.reshape(n, f, out_h * out_w)
             if weight.requires_grad:

@@ -128,6 +128,18 @@ class TestDiffPIR:
         with pytest.raises(ValueError):
             DiffPIRDefense(trained_prior, t_start=200)
 
+    @pytest.mark.parametrize("n_steps", [-1, 0, 16])
+    def test_step_count_out_of_range(self, trained_prior, n_steps):
+        # Zero steps would return the rescaled input undenoised; more
+        # steps than t_start would repeat timesteps of the schedule.
+        with pytest.raises(ValueError, match="n_steps"):
+            DiffPIRDefense(trained_prior, t_start=15, n_steps=n_steps)
+
+    @pytest.mark.parametrize("n_steps", [1, 15])
+    def test_step_count_range_ends(self, trained_prior, n_steps):
+        defense = DiffPIRDefense(trained_prior, t_start=15, n_steps=n_steps)
+        assert defense.n_steps == n_steps
+
     def test_more_steps_changes_output(self, trained_prior, sign_scenes):
         few = DiffPIRDefense(trained_prior, t_start=15, n_steps=2, seed=0)
         many = DiffPIRDefense(trained_prior, t_start=15, n_steps=10, seed=0)
