@@ -37,7 +37,6 @@ def pytest_terminal_summary(terminalreporter):
 def _runtime_summary(terminalreporter):
     """Print grid timings + nn pass counters; write BENCH_runtime.json."""
     try:
-        from repro.runtime import env
         from repro.runtime.instrument import (export_bench,
                                               get_instrumentation)
     except ImportError:  # repro not importable (PYTHONPATH=src missing)
@@ -48,7 +47,6 @@ def _runtime_summary(terminalreporter):
     terminalreporter.section("runtime instrumentation")
     for line in instrumentation.render().splitlines():
         terminalreporter.write_line(line)
-    path = env.BENCH_JSON.get() or os.path.join(
-        RESULTS_DIR, "BENCH_runtime.json")
+    path = os.path.join(RESULTS_DIR, "BENCH_runtime.json")
     terminalreporter.write_line(
         f"runtime telemetry written to {export_bench(path)}")

@@ -40,7 +40,7 @@ def retrain_on(attack_names, base, train_images, train_targets, tag):
                                                     seed=0)
         adv_targets = [train_targets[i] for i in indices]
 
-    def train(model, checkpoint=None):
+    def train(model, checkpoint):
         from repro.models.training import train_detector
         model.load_state_dict(base.state_dict())  # fine-tune the base model
         images = np.concatenate([adv_images, train_images])

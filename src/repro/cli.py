@@ -89,7 +89,7 @@ def _run_fault_matrix(args) -> str:
 
 
 def _run_serve_bench(args) -> str:
-    results = experiments.serve_bench.run(workers=args.workers)
+    results = experiments.serve_bench.run()
     path = experiments.serve_bench.export_bench(
         os.path.join(args.out, "BENCH_serving.json"), results)
     return (experiments.serve_bench.render(results)
@@ -218,12 +218,13 @@ def _serve_main(argv) -> int:
                     "fault-tolerant perception serving stack")
     parser.add_argument("--ticks", type=int, default=200,
                         help="traffic trace length")
-    parser.add_argument("--replicas", type=int, default=None,
-                        help=f"replica count (default: "
-                             f"${env.SERVE_REPLICAS.name})")
-    parser.add_argument("--deadline-ms", type=float, default=None,
-                        help=f"per-request deadline (default: "
-                             f"${env.SERVE_DEADLINE_MS.name})")
+    parser.add_argument("--replicas", type=int,
+                        default=ServeConfig.n_replicas,
+                        help="replica count (default: %(default)s)")
+    parser.add_argument("--deadline-ms", type=float,
+                        default=BrokerConfig.deadline_ms,
+                        help="per-request deadline in virtual ms "
+                             "(default: %(default)s)")
     parser.add_argument("--burst", type=float, default=1.0,
                         help="arrival-rate multiplier over 20 Hz "
                              "(>1 = overload)")

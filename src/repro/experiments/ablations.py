@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class PatchSizeRow:
 
 
 def patch_size_sweep(distances=(5, 10, 15, 20, 30, 40, 60, 80),
-                     n_frames: int = 8, eps: float = 0.06,
-                     workers: Optional[int] = None) -> List[PatchSizeRow]:
+                     n_frames: int = 8,
+                     eps: float = 0.06) -> List[PatchSizeRow]:
     regressor = get_regressor()
     model_fp = state_fingerprint(regressor)
 
@@ -67,7 +67,7 @@ def patch_size_sweep(distances=(5, 10, 15, 20, 30, 40, 60, 80),
         area = int(np.mean([(b[2] - b[0]) * (b[3] - b[1]) for b in boxes]))
         return (area, float((adv_pred - clean_pred).mean()))
 
-    grid = GridRunner("ablation-patch", workers=workers)
+    grid = GridRunner("ablation-patch")
     for distance in distances:
         grid.add(("patch", distance), lambda d=distance: cell(float(d)),
                  config={"distance": float(distance), "n_frames": n_frames,
@@ -93,8 +93,8 @@ class PGDComparisonRow:
     close_range_error_m: float
 
 
-def apgd_vs_pgd(iteration_budgets=(5, 10, 20), n_per_range: int = 8,
-                workers: Optional[int] = None) -> List[PGDComparisonRow]:
+def apgd_vs_pgd(iteration_budgets=(5, 10, 20),
+                n_per_range: int = 8) -> List[PGDComparisonRow]:
     regressor = get_regressor()
     model_fp = state_fingerprint(regressor)
     images, distances, boxes = make_balanced_eval_frames(n_per_range, seed=21)
@@ -110,7 +110,7 @@ def apgd_vs_pgd(iteration_budgets=(5, 10, 20), n_per_range: int = 8,
                                    attack=attack)
         return result.range_errors[(0, 20)]
 
-    grid = GridRunner("ablation-apgd", workers=workers)
+    grid = GridRunner("ablation-apgd")
     keys = [(name, n_iter) for n_iter in iteration_budgets
             for name in ("PGD", "Auto-PGD")]
     for name, n_iter in keys:
@@ -141,8 +141,7 @@ class WeatherRow:
 
 
 def weather_sweep(n_frames: int = 10, intensity: float = 0.7,
-                  eps: float = 0.06,
-                  workers: Optional[int] = None) -> List[WeatherRow]:
+                  eps: float = 0.06) -> List[WeatherRow]:
     """Attack strength under §III-A's degraded-visibility conditions.
 
     For each weather kind, measure (a) the model's clean MAE under that
@@ -179,7 +178,7 @@ def weather_sweep(n_frames: int = 10, intensity: float = 0.7,
         return (clean_mae, float((adv_pred - clean_pred).mean()))
 
     conditions = ("clear", "fog", "rain", "night")
-    grid = GridRunner("ablation-weather", workers=workers)
+    grid = GridRunner("ablation-weather")
     for condition in conditions:
         grid.add(("weather", condition), lambda c=condition: cell(c),
                  config={"condition": condition, "n_frames": n_frames,

@@ -76,8 +76,7 @@ class FaultMatrixRow:
     metrics: Dict[str, float]
 
 
-def run(workers: Optional[int] = None,
-        seed: int = FAULT_SEED) -> List[FaultMatrixRow]:
+def run(seed: int = FAULT_SEED) -> List[FaultMatrixRow]:
     model = get_regressor()
     model_fp = state_fingerprint(model)
 
@@ -90,7 +89,7 @@ def run(workers: Optional[int] = None,
                                          degradation=degradation,
                                          seed=spec_seed)
 
-    grid = GridRunner("fault_matrix", workers=workers)
+    grid = GridRunner("fault_matrix")
     cells: List[Tuple[str, str]] = [("clean", "clean")]
     grid.add(("clean", "clean"), lambda: cell(None, False),
              config={"model": model_fp, "fault": "none", "degradation": False,

@@ -7,7 +7,7 @@ never generated twice across Fig. 2 and Tables II–IV.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..configs import DETECTION_ATTACKS, make_detection_attack
 from ..eval.detection_metrics import DetectionMetrics
@@ -18,8 +18,8 @@ from ..nn.serialize import state_fingerprint
 from ..runtime import GridRunner
 
 
-def run(n_scenes: int = 80, seed: int = 999, include_simba: bool = True,
-        workers: Optional[int] = None) -> Dict[str, DetectionMetrics]:
+def run(n_scenes: int = 80, seed: int = 999,
+        include_simba: bool = True) -> Dict[str, DetectionMetrics]:
     """Compute the Fig. 2 series; returns {condition: metrics}."""
     detector = get_detector()
     testset = get_sign_testset(n_scenes=n_scenes, seed=seed)
@@ -27,7 +27,7 @@ def run(n_scenes: int = 80, seed: int = 999, include_simba: bool = True,
 
     conditions = ["No Attack"] + [name for name in DETECTION_ATTACKS
                                   if include_simba or name != "SimBA"]
-    grid = GridRunner("fig2", workers=workers)
+    grid = GridRunner("fig2")
     for condition in conditions:
         def cell(condition: str = condition) -> DetectionMetrics:
             if condition == "No Attack":

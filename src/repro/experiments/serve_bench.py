@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def _serve_once(trace: TrafficTrace, server: PerceptionServer,
 # Part A: availability under chaos
 # ----------------------------------------------------------------------
 
-def run_availability(n_ticks: int = 240,
-                     workers: Optional[int] = None) -> List[Dict[str, Any]]:
+def run_availability(n_ticks: int = 240) -> List[Dict[str, Any]]:
     model = get_regressor()
     model_fp = state_fingerprint(model)
     images, distances, _ = make_balanced_eval_frames(n_per_range=8,
@@ -108,7 +107,7 @@ def run_availability(n_ticks: int = 240,
                 "deterministic": first.fingerprint() == second.fingerprint(),
                 "breaker_transitions": first.breaker_transitions}
 
-    grid = GridRunner("serve_bench", workers=workers)
+    grid = GridRunner("serve_bench")
     for scenario, spec in CHAOS_SCENARIOS.items():
         grid.add(scenario,
                  lambda spec=spec: cell(spec["plan"], spec["burst"]),
@@ -143,7 +142,7 @@ def _defended_regressor(base: DistanceRegressor) -> DistanceRegressor:
         for name in ("FGSM", "Auto-PGD")]
     purify = MedianBlur(MEDIAN_BLUR_KERNEL).purify
 
-    def train(model, checkpoint=None):
+    def train(model, checkpoint):
         model.load_state_dict(base.state_dict())
         train_images = np.concatenate(
             [purify(part.astype(np.float32)) for part in adv_parts]
@@ -183,8 +182,7 @@ def _traffic_metrics(report: ServeReport) -> Dict[str, Any]:
 
 
 def run_router(n_per_range: int = 6, attack_fraction: float = 0.35,
-               n_ticks: int = 200,
-               workers: Optional[int] = None) -> List[Dict[str, Any]]:
+               n_ticks: int = 200) -> List[Dict[str, Any]]:
     model = get_regressor()
     model_fp = state_fingerprint(model)
     images, distances, boxes = make_balanced_eval_frames(n_per_range,
@@ -205,7 +203,7 @@ def run_router(n_per_range: int = 6, attack_fraction: float = 0.35,
         report = _serve_once(trace, server, images, plan="", router=router)
         return _traffic_metrics(report)
 
-    grid = GridRunner("serve_bench_router", workers=workers)
+    grid = GridRunner("serve_bench_router")
     modes = {"fast-path": False, "routed": True}
     for mode, router in modes.items():
         grid.add(mode, lambda router=router: cell(router),
@@ -222,10 +220,10 @@ def run_router(n_per_range: int = 6, attack_fraction: float = 0.35,
 # Entry points
 # ----------------------------------------------------------------------
 
-def run(n_ticks: int = 240, n_per_range: int = 6,
-        workers: Optional[int] = None) -> Dict[str, List[Dict[str, Any]]]:
-    return {"availability": run_availability(n_ticks, workers=workers),
-            "router": run_router(n_per_range, workers=workers)}
+def run(n_ticks: int = 240,
+        n_per_range: int = 6) -> Dict[str, List[Dict[str, Any]]]:
+    return {"availability": run_availability(n_ticks),
+            "router": run_router(n_per_range)}
 
 
 def render(results: Dict[str, List[Dict[str, Any]]]) -> str:

@@ -11,7 +11,7 @@ JSON cache, and cells fan across ``REPRO_WORKERS`` processes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..configs import REGRESSION_ATTACKS, make_regression_attack
 from ..eval.harness import (cached_attack_driving_frames, evaluate_distance,
@@ -23,14 +23,13 @@ from ..nn.serialize import state_fingerprint
 from ..runtime import GridRunner
 
 
-def run(n_per_range: int = 20, seed: int = 123,
-        workers: Optional[int] = None) -> Dict[str, RangeErrors]:
+def run(n_per_range: int = 20, seed: int = 123) -> Dict[str, RangeErrors]:
     """Compute the Table I grid; returns {attack name: range errors}."""
     regressor = get_regressor()
     images, distances, boxes = make_balanced_eval_frames(n_per_range, seed)
     model_fp = state_fingerprint(regressor)
 
-    grid = GridRunner("table1", workers=workers)
+    grid = GridRunner("table1")
     for name in REGRESSION_ATTACKS:
         def cell(name: str = name) -> RangeErrors:
             adv = cached_attack_driving_frames(

@@ -53,8 +53,8 @@ def make_defenses() -> Dict[str, Optional[InputDefense]]:
     }
 
 
-def run(n_per_range: int = 15, n_scenes: int = 60, seed: int = 123,
-        workers: Optional[int] = None) -> List[Table2Row]:
+def run(n_per_range: int = 15, n_scenes: int = 60,
+        seed: int = 123) -> List[Table2Row]:
     detector = get_detector()
     regressor = get_regressor()
     testset = get_sign_testset(n_scenes=n_scenes, seed=999)
@@ -63,7 +63,7 @@ def run(n_per_range: int = 15, n_scenes: int = 60, seed: int = 123,
     reg_fp = state_fingerprint(regressor)
 
     # Stage 1: adversarial inputs, one cell per attack row and task.
-    adv_grid = GridRunner("adv", workers=workers)
+    adv_grid = GridRunner("adv")
     for row_name, regression_attack, detection_attack in PAIRED_ATTACK_ROWS:
         adv_grid.add(
             ("frames", row_name),
@@ -77,7 +77,7 @@ def run(n_per_range: int = 15, n_scenes: int = 60, seed: int = 123,
     adv = adv_grid.run()
 
     # Stage 2: every (attack, defense) evaluation in parallel.
-    eval_grid = GridRunner("table2", workers=workers)
+    eval_grid = GridRunner("table2")
     defense_names = list(make_defenses())
     for row_name, _, _ in PAIRED_ATTACK_ROWS:
         for defense_name in defense_names:

@@ -71,7 +71,7 @@ def _retrained_detector(source: str, adv_sets, clean_images, clean_targets,
         adv_images = adv_sets[source]
         adv_targets = list(clean_targets)
 
-    def train(model, checkpoint=None):
+    def train(model, checkpoint):
         model.load_state_dict(base.state_dict())  # fine-tune, per the paper
         images = np.concatenate([adv_images, clean_images])
         targets = list(adv_targets) + list(clean_targets)
@@ -95,7 +95,7 @@ def _retrained_regressor(source: str, adv_sets, clean_images,
         adv_images = adv_sets[source]
         adv_distances = clean_distances
 
-    def train(model, checkpoint=None):
+    def train(model, checkpoint):
         model.load_state_dict(base.state_dict())  # fine-tune, per the paper
         images = np.concatenate([adv_images, clean_images])
         distances = np.concatenate([adv_distances, clean_distances])
@@ -109,8 +109,7 @@ def _retrained_regressor(source: str, adv_sets, clean_images,
         lambda: DistanceRegressor(rng=np.random.default_rng(0)), train)
 
 
-def run(n_per_range: int = 12, n_test_scenes: int = 50,
-        workers: Optional[int] = None) -> List[Table3Row]:
+def run(n_per_range: int = 12, n_test_scenes: int = 50) -> List[Table3Row]:
     base_detector = get_detector()
     base_regressor = get_regressor()
     det_fp = state_fingerprint(base_detector)
@@ -129,7 +128,7 @@ def run(n_per_range: int = 12, n_test_scenes: int = 50,
     # Stage 1: all adversarial set generations, fanned out.  Train-side sets
     # get explicit npz cells; test-side sets go through the shared harness
     # caches (same entries Tables II/IV hit).
-    adv_grid = GridRunner("adv", workers=workers)
+    adv_grid = GridRunner("adv")
     for name in ROW_NAMES:
         adv_grid.add(
             ("train-det", name),
@@ -137,16 +136,14 @@ def run(n_per_range: int = 12, n_test_scenes: int = 50,
                 base_detector, train_images, train_targets,
                 make_detection_attack(_DET_ATTACK[name])),
             config={"set": "table3-train-det", "source": name,
-                    "scenes": TRAIN_SCENES, "model": det_fp, "v": 1},
-            codec="npz")
+                    "scenes": TRAIN_SCENES, "model": det_fp, "v": 1})
         adv_grid.add(
             ("train-reg", name),
             lambda name=name: generate_adversarial_frames(
                 base_regressor, frames, frame_distances, frame_boxes,
                 make_regression_attack(_REG_ATTACK[name])),
             config={"set": "table3-train-reg", "source": name,
-                    "frames": TRAIN_FRAMES, "model": reg_fp, "v": 1},
-            codec="npz")
+                    "frames": TRAIN_FRAMES, "model": reg_fp, "v": 1})
         adv_grid.add(
             ("test-det", name),
             lambda name=name: cached_attack_sign_dataset(
@@ -175,7 +172,7 @@ def run(n_per_range: int = 12, n_test_scenes: int = 50,
         for source in sources}
 
     # Stage 3: the transfer evaluation grid.
-    eval_grid = GridRunner("table3", workers=workers)
+    eval_grid = GridRunner("table3")
     pairs = []
     for source in sources:
         test_attacks = [n for n in ROW_NAMES if n != source] + ["Mixed"]

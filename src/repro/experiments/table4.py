@@ -15,7 +15,7 @@ runs in parallel with JSON-cached metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..eval.detection_metrics import DetectionMetrics
 from ..eval.harness import cached_attack_sign_dataset, evaluate_detection
 from ..eval.reporting import table4 as render_table4
 from ..models import TinyDetector
-from ..models.training import train_detector
+from ..models.training import EpochCheckpointer, train_detector
 from ..models.zoo import (cached_model, get_detector, get_sign_dataset,
                           get_sign_testset)
 from ..nn.serialize import state_fingerprint
@@ -48,28 +48,23 @@ class Table4Row:
 def _contrastive_detector(source: str, adv_images: np.ndarray,
                           clean_images: np.ndarray,
                           clean_targets) -> TinyDetector:
-    def train(model, checkpoint=None):
-        from ..models.training import EpochCheckpointer
-        pre_ckpt = fine_ckpt = None
-        if checkpoint is not None:
-            # One snapshot per phase; both kept until the zoo finalizes the
-            # whole variant, so a kill mid-finetune skips re-pretraining.
-            pre_ckpt = EpochCheckpointer(checkpoint.path + ".pre",
-                                         every=checkpoint.every,
-                                         label=checkpoint.label + ".pretrain")
-            fine_ckpt = EpochCheckpointer(checkpoint.path + ".fine",
-                                          every=checkpoint.every,
-                                          label=checkpoint.label + ".finetune")
+    def train(model, checkpoint):
+        # One snapshot per phase; both kept until the zoo finalizes the
+        # whole variant, so a kill mid-finetune skips re-pretraining.
+        pre_ckpt = EpochCheckpointer(checkpoint.path + ".pre",
+                                     every=checkpoint.every,
+                                     label=checkpoint.label + ".pretrain")
+        fine_ckpt = EpochCheckpointer(checkpoint.path + ".fine",
+                                      every=checkpoint.every,
+                                      label=checkpoint.label + ".finetune")
         pretrain = np.concatenate([clean_images, adv_images])
         contrastive_pretrain(model, pretrain, epochs=PRETRAIN_EPOCHS, seed=0,
                              checkpoint=pre_ckpt)
         train_detector(model, clean_images, list(clean_targets),
                        epochs=FINETUNE_EPOCHS, seed=0, lr=1e-3,
                        checkpoint=fine_ckpt)
-        if pre_ckpt is not None:
-            pre_ckpt.finalize()
-        if fine_ckpt is not None:
-            fine_ckpt.finalize()
+        pre_ckpt.finalize()
+        fine_ckpt.finalize()
 
     return cached_model(
         "table4-contrastive", {"source": source, "scenes": TRAIN_SCENES,
@@ -78,8 +73,7 @@ def _contrastive_detector(source: str, adv_images: np.ndarray,
         lambda: TinyDetector(rng=np.random.default_rng(0)), train)
 
 
-def run(n_test_scenes: int = 50,
-        workers: Optional[int] = None) -> List[Table4Row]:
+def run(n_test_scenes: int = 50) -> List[Table4Row]:
     base = get_detector()
     train_set = get_sign_dataset(TRAIN_SCENES, seed=77)
     train_images = train_set.images()
@@ -87,7 +81,7 @@ def run(n_test_scenes: int = 50,
     testset = get_sign_testset(n_scenes=n_test_scenes, seed=999)
 
     # Stage 1: adversarial batches (test sets + per-source training copies).
-    adv_grid = GridRunner("adv", workers=workers)
+    adv_grid = GridRunner("adv")
     for name in SOURCES:
         adv_grid.add(
             ("test", name),
@@ -100,8 +94,7 @@ def run(n_test_scenes: int = 50,
                 make_detection_attack(name)),
             config={"set": "table4-train", "source": name,
                     "scenes": TRAIN_SCENES, "model": state_fingerprint(base),
-                    "v": 1},
-            codec="npz")
+                    "v": 1})
     adv = adv_grid.run()
     test_adv: Dict[str, np.ndarray] = {name: adv[("test", name)]
                                        for name in SOURCES}
@@ -112,7 +105,7 @@ def run(n_test_scenes: int = 50,
               for source in SOURCES}
 
     # Stage 3: the evaluation grid.
-    eval_grid = GridRunner("table4", workers=workers)
+    eval_grid = GridRunner("table4")
     pairs = []
     for source in SOURCES:
         for attacked_by in ("Clean",) + SOURCES:

@@ -42,8 +42,7 @@ class Table5Row:
     detection: Optional[DetectionMetrics]
 
 
-def run(n_per_range: int = 12, n_scenes: int = 50,
-        workers: Optional[int] = None) -> List[Table5Row]:
+def run(n_per_range: int = 12, n_scenes: int = 50) -> List[Table5Row]:
     detector = get_detector()
     regressor = get_regressor()
     sign_prior = get_diffusion("signs")
@@ -58,7 +57,7 @@ def run(n_per_range: int = 12, n_scenes: int = 50,
         "driving_prior": state_fingerprint(driving_prior.network),
     }
 
-    grid = GridRunner("table5", workers=workers)
+    grid = GridRunner("table5")
     for label, regression_attack, detection_attack in ROWS:
         def cell(regression_attack=regression_attack,
                  detection_attack=detection_attack):

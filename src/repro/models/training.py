@@ -40,11 +40,9 @@ class EpochCheckpointer:
     removes the snapshot once the final artifact is safely on disk.
     """
 
-    def __init__(self, path: str, every: Optional[int] = None,
-                 label: str = ""):
-        from ..runtime import env
+    def __init__(self, path: str, every: int = 1, label: str = ""):
         self.path = path
-        self.every = env.CKPT_EVERY.get() if every is None else int(every)
+        self.every = int(every)
         self.label = label or os.path.basename(path)
 
     def resume(self, module, optimizer, rng: np.random.Generator

@@ -18,7 +18,7 @@ import numpy as np
 from ..data.driving import generate_training_set
 from ..data.signs import SignDataset
 from ..faults.runtime import maybe_inject_scope
-from ..runtime import env, journal, store
+from ..runtime import journal, store
 from ..runtime.cache import cache_root, fingerprint
 from .detector import TinyDetector
 from .distance import DistanceRegressor
@@ -60,8 +60,8 @@ def cached_model(name: str, config: dict, build, train):
 
     ``build()`` constructs the module whose weights are persisted, and
     ``train(module, checkpoint)`` trains it in place.  ``checkpoint`` is the
-    mid-training :class:`EpochCheckpointer` (``None`` when
-    ``REPRO_CKPT_EVERY`` is 0) that the callback threads into its loops.
+    mid-training :class:`EpochCheckpointer` (a snapshot every epoch) that
+    the callback threads into its loops.
     Training fires the ``zoo.<name>`` fault scope and journals
     ``train-start`` / ``train-done``.
     """
@@ -73,12 +73,10 @@ def cached_model(name: str, config: dict, build, train):
         journal.emit({"event": "train-start", "model": name, "path": path})
         # The snapshot sits next to the artifact and is dropped once the
         # trained model is safely on disk.
-        checkpoint = (EpochCheckpointer(path + ".ckpt.npz", label=label)
-                      if env.CKPT_EVERY.get() > 0 else None)
+        checkpoint = EpochCheckpointer(path + ".ckpt.npz", label=label)
         train(model, checkpoint)
         store.save_state(path, model.state_dict())
-        if checkpoint is not None:
-            checkpoint.finalize()
+        checkpoint.finalize()
         journal.emit({"event": "train-done", "model": name, "path": path})
     model.eval()
     return model

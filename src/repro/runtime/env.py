@@ -131,10 +131,6 @@ CACHE_MAX_MB = declare(
     doc="LRU size budget for `.cache/cells`; unset or <= 0 disables the "
         "GC sweep.")
 
-BENCH_JSON = declare(
-    "REPRO_BENCH_JSON", "str", default="BENCH_runtime.json",
-    doc="Path for the exported per-cell instrumentation ledger.")
-
 CELL_TIMEOUT = declare(
     "REPRO_CELL_TIMEOUT", "float", default=None,
     doc="Per-cell heartbeat timeout in seconds; unset or <= 0 disables "
@@ -155,45 +151,10 @@ SANITIZE = declare(
     doc="Comma-separated runtime sanitizers: `nan`, `alias` (see "
         "`repro.analysis.sanitize`).")
 
-CKPT_EVERY = declare(
-    "REPRO_CKPT_EVERY", "int", default=1,
-    doc="Epoch interval for mid-training snapshots in the zoo's training "
-        "paths; `0` disables mid-training checkpointing.")
-
 RUN_ID = declare(
     "REPRO_RUN_ID", "str", default=None,
     doc="Attach journal events to this run id under `.cache/runs/` "
         "(set automatically by `python -m repro.cli run`).")
-
-SERVE_REPLICAS = declare(
-    "REPRO_SERVE_REPLICAS", "int", default=3,
-    doc="Perception replicas in the serving pool "
-        "(`python -m repro.cli serve`).")
-
-SERVE_DEADLINE_MS = declare(
-    "REPRO_SERVE_DEADLINE_MS", "float", default=45.0,
-    doc="Per-request deadline for the serving broker, in virtual "
-        "milliseconds (one 20 Hz frame budget is 50 ms).")
-
-SERVE_RETRIES = declare(
-    "REPRO_SERVE_RETRIES", "int", default=2,
-    doc="Retry budget per serving request (attempts beyond the first).")
-
-SERVE_HEDGE_PCT = declare(
-    "REPRO_SERVE_HEDGE_PCT", "float", default=95.0,
-    doc="Latency percentile past which the broker hedges a request onto a "
-        "second replica; >= 100 disables hedging.")
-
-SERVE_QUEUE_MS = declare(
-    "REPRO_SERVE_QUEUE_MS", "float", default=120.0,
-    doc="Modeled queue-wait bound (virtual ms) before the broker sheds a "
-        "request to the degradation ladder instead of queueing it.")
-
-SERVE_WALL_TIMEOUT = declare(
-    "REPRO_SERVE_WALL_TIMEOUT", "float", default=10.0,
-    doc="Wall-clock seconds before a silent forked replica is declared "
-        "hung, killed and respawned (real-time hang detection only; "
-        "never enters results).")
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,11 @@ from . import instrument, journal
 from .cache import ResultCache, default_cache
 from .parallel import parallel_map
 
-#: result encodings a cell may declare (see :meth:`GridRunner.add`)
-_CODECS = ("json", "npz")
-
-
 @dataclass
 class _Cell:
     key: Hashable
     fn: Callable[[], Any]
     config: Optional[dict]
-    codec: str
 
     @property
     def label(self) -> str:
@@ -68,17 +63,15 @@ class GridRunner:
         self._cells: List[_Cell] = []
 
     def add(self, key: Hashable, fn: Callable[[], Any],
-            config: Optional[dict] = None, codec: str = "json") -> None:
+            config: Optional[dict] = None) -> None:
         """Declare a cell.  ``config=None`` makes the cell uncacheable.
 
-        ``codec="npz"`` is for cells returning a single ``np.ndarray`` (image
-        batches); ``codec="json"`` for metric-shaped results.
+        The result picks its cache encoding: an ``np.ndarray`` (an image
+        batch) is stored as npz, anything else as tagged JSON.
         """
-        if codec not in _CODECS:
-            raise ValueError(f"unknown codec {codec!r}")
         if any(cell.key == key for cell in self._cells):
             raise ValueError(f"duplicate cell key {key!r} in grid {self.name!r}")
-        self._cells.append(_Cell(key=key, fn=fn, config=config, codec=codec))
+        self._cells.append(_Cell(key=key, fn=fn, config=config))
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -88,21 +81,21 @@ class GridRunner:
         return f"{self.name}-{cell.label}".replace(" ", "_").replace("/", "_")
 
     def _load_cached(self, cell: _Cell) -> Optional[Any]:
+        """The cached result: an npz entry first, then a JSON one."""
         if cell.config is None:
             return None
-        if cell.codec == "npz":
-            arrays = self.cache.load_arrays(self._cache_name(cell), cell.config)
-            if arrays is not None and "array" in arrays:
-                return arrays["array"]
-            return None
-        return self.cache.load_json(self._cache_name(cell), cell.config)
+        name = self._cache_name(cell)
+        arrays = self.cache.load_arrays(name, cell.config)
+        if arrays is not None and "array" in arrays:
+            return arrays["array"]
+        return self.cache.load_json(name, cell.config)
 
     def _store(self, cell: _Cell, result: Any) -> None:
         if cell.config is None or result is None:
             return
-        if cell.codec == "npz":
+        if isinstance(result, np.ndarray):
             self.cache.save_arrays(self._cache_name(cell), cell.config,
-                                   {"array": np.asarray(result)})
+                                   {"array": result})
         else:
             self.cache.save_json(self._cache_name(cell), cell.config, result)
 

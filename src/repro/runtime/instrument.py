@@ -21,11 +21,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
-
-from . import env
-
-DEFAULT_BENCH_NAME = env.BENCH_JSON.default
+from typing import Dict, List
 
 
 @dataclass
@@ -95,10 +91,8 @@ class Instrumentation:
             },
         }
 
-    def export(self, path: Optional[str] = None) -> str:
+    def export(self, path: str) -> str:
         """Write the ledger as JSON; returns the path written."""
-        if path is None:
-            path = env.BENCH_JSON.get()
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         tmp = path + ".tmp"
@@ -152,5 +146,5 @@ def scope(name: str):
         yield
 
 
-def export_bench(path: Optional[str] = None) -> str:
+def export_bench(path: str) -> str:
     return GLOBAL.export(path)

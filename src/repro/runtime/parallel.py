@@ -190,10 +190,10 @@ def _serve(conn, handler: Callable, targets: Callable,
            plan: "RuntimeFaultPlan") -> None:
     """Child loop: answer ``(tag, attempt, payload)`` requests until EOF/None.
 
-    The fault plan fires for each of ``targets(tag)`` at ``attempt`` (none
-    for a negative attempt, i.e. a health probe) before the handler runs.  A
-    failure is answered with a one-line ``"<Type>: <message>"`` summary, the
-    text the serial paths report, next to the full traceback.
+    The fault plan fires for each of ``targets(tag)`` at ``attempt`` before
+    the handler runs.  A failure is answered with a one-line
+    ``"<Type>: <message>"`` summary, the text the serial paths report, next
+    to the full traceback.
     """
     while True:
         try:
@@ -204,9 +204,8 @@ def _serve(conn, handler: Callable, targets: Callable,
             return
         tag, attempt, payload = request
         try:
-            if attempt >= 0:
-                for target in targets(tag):
-                    plan.maybe_inject(target, attempt)
+            for target in targets(tag):
+                plan.maybe_inject(target, attempt)
             result = handler(payload)
         except BaseException as error:
             conn.send((tag, attempt, False,

@@ -4,20 +4,20 @@ The broker sits between the tick loop and the :class:`ReplicaPool` and
 owns every availability policy:
 
 * **Deadlines** — each request carries a virtual budget
-  (``REPRO_SERVE_DEADLINE_MS``); an answer that lands after it is useless
+  (``BrokerConfig.deadline_ms``); an answer that lands after it is useless
   to a 20 Hz planner and is reported as a miss (the ladder coasts).
 * **Retries** — failed attempts (raise / crash / hang) are retried with
   exponential backoff + seeded jitter while deadline budget remains.
 * **Hedging** — once enough latencies are observed, a request whose
   primary attempt is still outstanding past the tracked percentile
-  (``REPRO_SERVE_HEDGE_PCT``) is *hedged* onto a second replica and the
-  earlier answer wins (the tail-at-scale recipe).
+  (``BrokerConfig.hedge_percentile``) is *hedged* onto a second replica
+  and the earlier answer wins (the tail-at-scale recipe).
 * **Circuit breakers** — per-replica failure-rate breakers; an OPEN slot
   is skipped entirely, so a persistently crashing replica costs one
   window of failures instead of a retry per request.
 * **Backpressure / shedding** — per-slot virtual ``busy-until`` times
   model queueing; when the best achievable queue wait exceeds
-  ``REPRO_SERVE_QUEUE_MS``, already guarantees a deadline miss on its
+  ``BrokerConfig.queue_ms``, already guarantees a deadline miss on its
   own, or every breaker is open, the request is *shed* immediately — the
   caller falls back to the watchdog's coasting ladder instead of
   stalling the control loop.
@@ -38,7 +38,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..runtime import env
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
 from .policy import LatencyModel, LatencyTracker, RetryPolicy
 from .replica import ReplicaPool
@@ -53,30 +52,22 @@ RESPAWN_MS = 25.0
 
 @dataclass
 class BrokerConfig:
-    deadline_ms: Optional[float] = None     # default: REPRO_SERVE_DEADLINE_MS
-    retries: Optional[int] = None           # default: REPRO_SERVE_RETRIES
-    hedge_percentile: Optional[float] = None  # default: REPRO_SERVE_HEDGE_PCT
-    queue_ms: Optional[float] = None        # default: REPRO_SERVE_QUEUE_MS
+    deadline_ms: float = 45.0       # virtual per-request budget
+    retries: int = 2                # attempts beyond the first
+    hedge_percentile: float = 95.0  # >= 100 disables hedging
+    queue_ms: float = 120.0         # queue-wait bound before shedding
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     latency: LatencyModel = field(default_factory=LatencyModel)
     hedge_min_samples: int = 20
 
-    def resolved_deadline_ms(self) -> float:
-        return (env.SERVE_DEADLINE_MS.get() if self.deadline_ms is None
-                else float(self.deadline_ms))
-
-    def resolved_retries(self) -> int:
-        return (env.SERVE_RETRIES.get() if self.retries is None
-                else int(self.retries))
-
-    def resolved_hedge_percentile(self) -> float:
-        return (env.SERVE_HEDGE_PCT.get() if self.hedge_percentile is None
-                else float(self.hedge_percentile))
-
-    def resolved_queue_ms(self) -> float:
-        return (env.SERVE_QUEUE_MS.get() if self.queue_ms is None
-                else float(self.queue_ms))
+    def __post_init__(self) -> None:
+        if self.deadline_ms <= 0:
+            raise ValueError("deadline_ms must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.queue_ms < 0:
+            raise ValueError("queue_ms must be >= 0")
 
 
 @dataclass
@@ -100,13 +91,13 @@ class RequestBroker:
                  config: Optional[BrokerConfig] = None):
         self.pool = pool
         self.config = config or BrokerConfig()
-        self.deadline_ms = self.config.resolved_deadline_ms()
-        self.retry_budget = self.config.resolved_retries()
-        self.queue_ms = self.config.resolved_queue_ms()
+        self.deadline_ms = float(self.config.deadline_ms)
+        self.retry_budget = int(self.config.retries)
+        self.queue_ms = float(self.config.queue_ms)
         self.breakers = [CircuitBreaker(self.config.breaker, label=f"replica{s}")
                          for s in range(pool.n_replicas)]
         self.tracker = LatencyTracker(
-            percentile=self.config.resolved_hedge_percentile(),
+            percentile=float(self.config.hedge_percentile),
             min_samples=self.config.hedge_min_samples)
         self.busy_until_ms = [0.0] * pool.n_replicas
         self.counters: Dict[str, int] = {

@@ -67,10 +67,9 @@ class ServeConfig:
     broker: BrokerConfig = field(default_factory=BrokerConfig)
     watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
     router_enabled: bool = True
-    n_replicas: Optional[int] = None      # default: REPRO_SERVE_REPLICAS
-    forked: Optional[bool] = None         # default: fork when available
-    probe_every: int = 0                  # health-probe cadence (0 = off)
-    wall_timeout: Optional[float] = None  # default: REPRO_SERVE_WALL_TIMEOUT
+    n_replicas: int = 3
+    forked: Optional[bool] = None  # default: fork when available
+    wall_timeout: float = 10.0     # real seconds to declare a replica hung
 
 
 @dataclass
@@ -182,9 +181,6 @@ def run_serve(trace: TrafficTrace, server: PerceptionServer,
               "deadline_ms": broker.deadline_ms})
 
         for seq in range(len(trace)):
-            if config.probe_every and seq and seq % config.probe_every == 0:
-                for slot in range(pool.n_replicas):
-                    pool.probe(slot)
             frame = trace.frames[seq]
             decision = router.route(seq, frame)
             result = broker.submit(

@@ -1,4 +1,4 @@
-"""Replica pool: N perception workers with health probes and auto-respawn.
+"""Replica pool: N perception workers with auto-respawn.
 
 Each replica is a :class:`~repro.runtime.parallel.ForkedWorker` — the same
 forked child on a private duplex pipe that runs
@@ -37,15 +37,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..faults.runtime import RuntimeFaultPlan
-from ..runtime import env
 from ..runtime.parallel import ForkedWorker, close_workers, fork_available
 
 logger = logging.getLogger(__name__)
 
 #: scope consulted for faults hitting any replica.
 REPLICA_SCOPE = "serve.replica"
-
-_PING = "__serve_ping__"
 
 
 def slot_scope(slot: int) -> str:
@@ -65,8 +62,8 @@ class PoolEvent:
     """One pool-level incident (respawn), kept for journaling/tests."""
 
     slot: int
-    kind: str              # "crashed" | "hung" | "probe-failed"
-    seq: int               # request sequence that exposed it (-1: probe)
+    kind: str              # "crashed" | "hung"
+    seq: int               # request sequence that exposed it
 
 
 def _targets(slot: int) -> Tuple[str, str]:
@@ -82,15 +79,14 @@ class ReplicaPool:
     auto-selects: forked when ``fork`` exists, in-process otherwise.
     """
 
-    def __init__(self, handler: Callable[[Any], Any],
-                 n_replicas: Optional[int] = None,
-                 wall_timeout: Optional[float] = None,
+    def __init__(self, handler: Callable[[Any], Any], n_replicas: int = 3,
+                 wall_timeout: float = 10.0,
                  forked: Optional[bool] = None):
+        if n_replicas < 1:
+            raise ValueError("n_replicas must be >= 1")
         self.handler = handler
-        self.n_replicas = max(1, (env.SERVE_REPLICAS.get()
-                                  if n_replicas is None else int(n_replicas)))
-        self.wall_timeout = (env.SERVE_WALL_TIMEOUT.get()
-                             if wall_timeout is None else float(wall_timeout))
+        self.n_replicas = int(n_replicas)
+        self.wall_timeout = float(wall_timeout)
         self.forked = fork_available() if forked is None else bool(forked)
         self.events: List[PoolEvent] = []
         self.respawns = 0
@@ -110,9 +106,8 @@ class ReplicaPool:
         close_workers(self._replicas)
 
     def _spawn(self, slot: int) -> ForkedWorker:
-        def answer(payload: Any) -> Any:
-            return "pong" if payload == _PING else self.handler(payload)
-        return ForkedWorker(answer, lambda seq: _targets(slot), self._plan)
+        return ForkedWorker(self.handler, lambda seq: _targets(slot),
+                            self._plan)
 
     def _respawn(self, slot: int, kind: str, seq: int) -> None:
         self.respawns += 1
@@ -137,34 +132,22 @@ class ReplicaPool:
             return self._call_forked(slot, seq, payload)
         return self._call_serial(slot, seq, payload)
 
-    def probe(self, slot: int) -> bool:
-        """Health probe: does the replica answer a ping in time?
-
-        A dead or wedged replica fails the probe and is respawned, so the
-        pool self-heals even between requests.
-        """
-        if not self.forked:
-            return True
-        reply = self._call_forked(slot, -1, _PING, respawn_kind="probe-failed")
-        return reply.status == "ok"
-
-    def _call_forked(self, slot: int, seq: int, payload: Any,
-                     respawn_kind: Optional[str] = None) -> ReplicaReply:
+    def _call_forked(self, slot: int, seq: int, payload: Any) -> ReplicaReply:
         replica = self._replicas[slot]
         try:
             replica.send(seq, seq, payload)
         except (BrokenPipeError, OSError):
-            self._respawn(slot, respawn_kind or "crashed", seq)
+            self._respawn(slot, "crashed", seq)
             return ReplicaReply("crashed", detail="pipe closed on send")
         if not replica.conn.poll(self.wall_timeout):
-            self._respawn(slot, respawn_kind or "hung", seq)
+            self._respawn(slot, "hung", seq)
             return ReplicaReply(
                 "hung", detail=f"no answer within {self.wall_timeout:.1f}s")
         try:
             got_seq, _, ok, value = replica.conn.recv()
         except (EOFError, OSError):
             exitcode = replica.process.exitcode
-            self._respawn(slot, respawn_kind or "crashed", seq)
+            self._respawn(slot, "crashed", seq)
             return ReplicaReply("crashed",
                                 detail=f"replica died (exit {exitcode})")
         if got_seq != seq:  # stale answer from a pre-respawn request
@@ -182,7 +165,7 @@ class ReplicaPool:
         """
         try:
             # the forked child's order: each target in turn, then the handler
-            for scope in _targets(slot) if seq >= 0 else ():
+            for scope in _targets(slot):
                 fault = self._plan.lookup(scope, seq)
                 if fault is not None and fault.kind in ("crash", "hang"):
                     status = "crashed" if fault.kind == "crash" else "hung"

@@ -11,9 +11,33 @@ pytestmark = pytest.mark.analysis
 def test_declared_knobs_cover_the_runtime():
     names = set(env.REGISTRY)
     assert {"REPRO_WORKERS", "REPRO_RESULT_CACHE", "REPRO_CACHE_DIR",
-            "REPRO_CACHE_MAX_MB", "REPRO_BENCH_JSON", "REPRO_CELL_TIMEOUT",
+            "REPRO_CACHE_MAX_MB", "REPRO_CELL_TIMEOUT",
             "REPRO_MAX_RETRIES", "REPRO_FAULT_PLAN",
             "REPRO_SANITIZE"} <= names
+
+
+def test_every_knob_is_read_outside_the_registry():
+    """A declared knob nothing reads would be silently inert."""
+    import os
+    import re
+
+    import repro
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    registry = os.path.join(package, "runtime", "env.py")
+    sources = []
+    for directory, _, files in os.walk(package):
+        for name in files:
+            path = os.path.join(directory, name)
+            if name.endswith(".py") and path != registry:
+                with open(path, encoding="utf-8") as handle:
+                    sources.append(handle.read())
+    code = "\n".join(sources)
+    attrs = {var.name: attr for attr, var in vars(env).items()
+             if isinstance(var, env.EnvVar)}
+    assert set(attrs) == set(env.REGISTRY)
+    inert = [name for name, attr in attrs.items()
+             if not re.search(rf"env\.{attr}\b", code)]
+    assert inert == []
 
 
 def test_declare_rejects_non_repro_prefix():

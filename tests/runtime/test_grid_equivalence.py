@@ -5,6 +5,8 @@ bit-identical results whether cells run serially, across forked workers, or
 out of the result cache.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ def _make_grid(workers, cache, instrumentation=None):
         def cell(name=name):
             rng = np.random.default_rng(stable_seed("toy", name))
             return rng.normal(size=(4, 8)).astype(np.float32)
-        grid.add(name, cell, config={"cell": name, "v": 1}, codec="npz")
+        grid.add(name, cell, config={"cell": name, "v": 1})
     return grid
 
 
@@ -43,11 +45,6 @@ class TestSerialGrid:
         grid = _make_grid(1, _disabled_cache(tmp_path))
         with pytest.raises(ValueError, match="duplicate"):
             grid.add("FGSM", lambda: None)
-
-    def test_unknown_codec_rejected(self, tmp_path):
-        grid = GridRunner("toy", cache=_disabled_cache(tmp_path))
-        with pytest.raises(ValueError, match="codec"):
-            grid.add("x", lambda: None, codec="pickle")
 
 
 @needs_fork
@@ -82,15 +79,38 @@ class TestGridCache:
         cache = ResultCache(root=str(tmp_path), enabled=True)
         grid = GridRunner("toy", workers=1, cache=cache,
                           instrumentation=Instrumentation())
-        grid.add("a", lambda: np.ones(3), config={"v": 1}, codec="npz")
+        grid.add("a", lambda: np.ones(3), config={"v": 1})
         grid.run()
         inst = Instrumentation()
         bumped = GridRunner("toy", workers=1, cache=cache,
                             instrumentation=inst)
-        bumped.add("a", lambda: np.zeros(3), config={"v": 2}, codec="npz")
+        bumped.add("a", lambda: np.zeros(3), config={"v": 2})
         results = bumped.run()
         assert not inst.cells[0].cached
         np.testing.assert_array_equal(results["a"], np.zeros(3))
+
+    @pytest.mark.smoke
+    def test_result_type_picks_the_encoding(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path), enabled=True)
+
+        def build():
+            grid = GridRunner("toy", workers=1, cache=cache,
+                              instrumentation=Instrumentation())
+            grid.add("arr", lambda: np.arange(4, dtype=np.float32),
+                     config={"v": 1})
+            grid.add("row", lambda: {"mae": 1.5, "n": 3}, config={"v": 1})
+            return grid
+
+        cold = build().run()
+        assert sorted(os.path.splitext(name)[1]
+                      for name in os.listdir(tmp_path)) == [".json", ".npz"]
+        warm_grid = build()
+        warm = warm_grid.run()
+        assert all(record.cached
+                   for record in warm_grid.instrumentation.cells)
+        np.testing.assert_array_equal(warm["arr"], cold["arr"])
+        assert warm["arr"].dtype == np.float32
+        assert warm["row"] == {"mae": 1.5, "n": 3}
 
     @pytest.mark.smoke
     def test_configless_cells_never_cache(self, tmp_path):

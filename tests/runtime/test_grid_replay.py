@@ -110,7 +110,7 @@ def test_npz_cells_replay_from_journal(run_env):
         def fn():
             calls.append("x")
             return np.arange(12, dtype=np.float32).reshape(3, 4)
-        grid.add("x", fn, config={"v": 1}, codec="npz")
+        grid.add("x", fn, config={"v": 1})
         return grid
 
     first = build().run()

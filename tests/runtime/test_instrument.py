@@ -42,8 +42,7 @@ class TestInstrumentation:
             model(Tensor(np.zeros((1, 4), dtype=np.float32)))
             return "done"
 
-        result, record, scopes = _execute_cell(_Cell("cell", cell, None,
-                                                     "json"))
+        result, record, scopes = _execute_cell(_Cell("cell", cell, None))
         assert result == "done"
         assert record.cell == "cell"
         assert record.forward_passes == 2

@@ -155,3 +155,22 @@ class TestDeterminism:
                               for seq in range(120))]
 
         assert stream() == stream()
+
+
+class TestConfigValidation:
+    def test_defaults(self):
+        config = BrokerConfig()
+        assert (config.deadline_ms, config.retries, config.hedge_percentile,
+                config.queue_ms) == (45.0, 2, 95.0, 120.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_ms", 0.0), ("deadline_ms", -5.0), ("retries", -1),
+        ("queue_ms", -0.5)])
+    def test_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BrokerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("retries", 0), ("queue_ms", 0.0)])
+    def test_accepts_the_boundary(self, field, value):
+        assert getattr(BrokerConfig(**{field: value}), field) == value

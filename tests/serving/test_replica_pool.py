@@ -65,20 +65,6 @@ class TestForked:
             assert pool.respawns == 1
             assert pool.call(0, 1, "b").status == "ok"
 
-    @forked_only
-    def test_probe_heals_a_dead_replica(self):
-        with ReplicaPool(_echo, n_replicas=1, wall_timeout=2.0,
-                         forked=True) as pool:
-            assert pool.probe(0)
-            # murder the replica out-of-band; the probe must detect + heal
-            pool._replicas[0].process.terminate()
-            pool._replicas[0].process.join()
-            assert not pool.probe(0)
-            assert pool.respawns == 1
-            assert [e.kind for e in pool.events] == ["probe-failed"]
-            assert pool.probe(0)
-            assert pool.call(0, 5, "x").status == "ok"
-
 
 class TestSerial:
     def test_serial_synthesizes_planned_outcomes(self, plan_env):
@@ -91,7 +77,6 @@ class TestSerial:
         assert pool.call(1, 2, "a").status == "hung"
         assert pool.call(1, 3, "a").status == "raised"
         assert pool.respawns == 2
-        assert pool.probe(0)
 
     @forked_only
     def test_serial_matches_forked_outcome_stream(self, plan_env):
@@ -121,3 +106,8 @@ class TestSerial:
         pool = ReplicaPool(_echo, n_replicas=1, forked=False)
         with pytest.raises(IndexError):
             pool.call(5, 0, "x")
+
+    @pytest.mark.parametrize("n_replicas", [0, -1])
+    def test_rejects_an_empty_pool(self, n_replicas):
+        with pytest.raises(ValueError, match="n_replicas"):
+            ReplicaPool(_echo, n_replicas=n_replicas, forked=False)

