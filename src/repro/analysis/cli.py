@@ -7,13 +7,15 @@
     python -m repro.analysis gradcheck                   # all layers/losses
     python -m repro.analysis gradcheck --case conv2d --k 8
     python -m repro.analysis audit --runs 3              # determinism audit
+    python -m repro.analysis golden [--write]            # golden outputs
     python -m repro.analysis envdoc --check README.md    # env table in sync?
     python -m repro.analysis envdoc --write README.md    # regenerate it
 
 Also reachable as ``python -m repro.cli analyze <verb>`` (the CI entry
-point).  Every verb supports ``--json``; exit status is non-zero when the
-verb found a problem (violations, a failed gradient check, a
-nondeterministic cell, or a stale env table).
+point).  Every verb but ``golden`` supports ``--json``; exit status is
+non-zero when the verb found a problem (violations, a failed gradient
+check, a nondeterministic cell, a moved golden entry or broken shape
+predicate, or a stale env table).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
-from . import determinism, gradcheck
+from . import determinism, golden, gradcheck
 from .lint import LintConfig, RULES, lint_paths
 from ..runtime import env
 
@@ -59,11 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="re-execute cells, diff fingerprints")
     audit.add_argument("--runs", type=int, default=2)
-    audit.add_argument("--grid-slice", action="store_true",
-                       help="also audit one real Table II cell per defense "
-                            "family (slower; exercises the composed grid "
-                            "pipeline)")
     audit.add_argument("--json", action="store_true", dest="as_json")
+
+    gold = sub.add_parser(
+        "golden", help="rerun every deterministic paper output (result "
+                       "cache off) and compare it with the golden file")
+    gold.add_argument("--write", action="store_true",
+                      help="re-record the golden file and EXPERIMENTS.md "
+                           "Results (refused if a shape predicate fails)")
 
     envdoc = sub.add_parser(
         "envdoc", help="render / sync the REPRO_* env-var table")
@@ -127,10 +132,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cells = determinism.default_cells()
-    if args.grid_slice:
-        cells += determinism.grid_slice_cells()
-    reports = determinism.audit_cells(cells, runs=args.runs)
+    reports = determinism.audit_cells(determinism.default_cells(),
+                                      runs=args.runs)
     broken = [r for r in reports if not r.deterministic]
     if args.as_json:
         print(json.dumps({"reports": [r.to_json() for r in reports],
@@ -144,6 +147,38 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(f"{len(reports) - len(broken)}/{len(reports)} cells "
               "deterministic")
     return 1 if broken else 0
+
+
+def _cmd_golden(args: argparse.Namespace) -> int:
+    env.RESULT_CACHE.set(0)
+    recorded, fresh, moved, broken = golden.load(), {}, 0, []
+    for name, entry, failed in golden.rerun():
+        broken += failed
+        if entry is None:
+            print(f"{'shapes only':26s} {name} (wall clock, not recorded)")
+            continue
+        fresh[name] = entry
+        state = golden.status(recorded.get(name), entry)
+        moved += state != golden.OK
+        print(f"{state:26s} {name}", flush=True)
+    for claim in broken:
+        print(f"SHAPE FAIL {claim}")
+    print(f"{len(fresh) - moved}/{len(fresh)} entries ok, "
+          f"{len(broken)} shape predicate(s) broken")
+    if not args.write:
+        return 1 if moved or broken else 0
+    if broken:
+        print("refusing to record results that break the paper's shape",
+              file=sys.stderr)
+        return 1
+    with open(golden.GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        handle.write(golden.dumps(fresh))
+    with open(golden.EXPERIMENTS_MD, encoding="utf-8") as handle:
+        text = golden.sync_experiments_md(handle.read(), fresh)
+    with open(golden.EXPERIMENTS_MD, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"recorded {golden.GOLDEN_PATH}; re-rendered EXPERIMENTS.md")
+    return 0
 
 
 def _cmd_envdoc(args: argparse.Namespace) -> int:
@@ -188,6 +223,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_gradcheck(args)
     if args.verb == "audit":
         return _cmd_audit(args)
+    if args.verb == "golden":
+        return _cmd_golden(args)
     return _cmd_envdoc(args)
 
 

@@ -18,7 +18,7 @@ on an untrained model.  ``python -m repro.analysis audit`` runs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -56,14 +56,17 @@ def result_fingerprint(value: Any) -> str:
     """Content-addressed fingerprint of a nested cell result.
 
     Arrays hash through :func:`repro.runtime.cache.array_fingerprint`
-    (dtype + shape + bytes), everything else through the cache's canonical
-    JSON fingerprint — so the auditor detects exactly the divergences the
-    result cache would conflate.
+    (dtype + shape + bytes), dataclasses field by field, everything else
+    through the cache's canonical JSON fingerprint — so the auditor detects
+    exactly the divergences the result cache would conflate.
     """
     return fingerprint({"result": _canonical(value)})
 
 
 def _canonical(value: Any) -> Any:
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _canonical(getattr(value, f.name))
+                for f in fields(value)}
     if isinstance(value, np.ndarray):
         return {"__array__": array_fingerprint(value)}
     if isinstance(value, np.generic):
@@ -186,7 +189,7 @@ def default_cells() -> List[AuditCell]:
 
 
 # ---------------------------------------------------------------------------
-# Grid slice — one real Table II cell per defense family (--grid-slice).
+# Grid slice — one real Table II cell per defense family (golden entries).
 # ---------------------------------------------------------------------------
 
 def _table2_metrics(metrics: Any) -> Dict[str, float]:
@@ -256,7 +259,7 @@ def grid_slice_cells() -> List[AuditCell]:
     """One Table II cell per defense family, re-executable end to end.
 
     Where :func:`default_cells` samples isolated primitives, this slice
-    audits the composed grid pipeline the experiment tables are built from:
+    covers the composed grid pipeline the experiment tables are built from:
     attack generation, defense purification (input-transform, retrained
     model transfer, contrastive pretraining, diffusion restoration) and
     detection matching, all with pinned seeds.

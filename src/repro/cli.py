@@ -28,91 +28,61 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 from . import experiments, viz
 from .runtime import cache_enabled, env, export_bench, get_instrumentation
 
-Runner = Callable[[argparse.Namespace], str]
+
+@dataclass(frozen=True)
+class Experiment:
+    """``render(run(**kwargs(args)))``; ``kwargs`` maps CLI flags onto
+    ``run``'s arguments, so ``analyze golden`` replays the same call.
+    ``export`` writes side artifacts under ``--out``, returning a line."""
+
+    run: Callable[..., Any]
+    render: Callable[[Any], str]
+    kwargs: Callable[[argparse.Namespace], Dict[str, Any]]
+    export: Optional[Callable[[Any, str], str]] = None
 
 
-def _run_table1(args) -> str:
-    return experiments.table1.render(
-        experiments.table1.run(n_per_range=args.frames_per_range))
-
-
-def _run_fig2(args) -> str:
-    return experiments.fig2.render(
-        experiments.fig2.run(n_scenes=args.scenes))
-
-
-def _run_table2(args) -> str:
-    return experiments.table2.render(experiments.table2.run(
-        n_per_range=args.frames_per_range, n_scenes=args.scenes))
-
-
-def _run_table3(args) -> str:
-    return experiments.table3.render(experiments.table3.run(
-        n_per_range=max(4, args.frames_per_range // 2),
-        n_test_scenes=args.scenes))
-
-
-def _run_table4(args) -> str:
-    return experiments.table4.render(
-        experiments.table4.run(n_test_scenes=args.scenes))
-
-
-def _run_table5(args) -> str:
-    return experiments.table5.render(experiments.table5.run(
-        n_per_range=max(4, args.frames_per_range // 2),
-        n_scenes=args.scenes))
-
-
-def _run_overhead(args) -> str:
-    return experiments.overhead.render(experiments.overhead.run())
-
-
-def _run_ablations(args) -> str:
-    parts = [
-        experiments.ablations.render_patch_size(
-            experiments.ablations.patch_size_sweep()),
-        experiments.ablations.render_apgd_vs_pgd(
-            experiments.ablations.apgd_vs_pgd()),
-        experiments.ablations.render_diffusion_steps(
-            experiments.ablations.diffusion_steps_sweep()),
-    ]
-    return "\n\n".join(parts)
-
-
-def _run_fault_matrix(args) -> str:
-    return experiments.fault_matrix.render(experiments.fault_matrix.run())
-
-
-def _run_serve_bench(args) -> str:
-    results = experiments.serve_bench.run()
+def _export_serve_bench(results, out: str) -> str:
     path = experiments.serve_bench.export_bench(
-        os.path.join(args.out, "BENCH_serving.json"), results)
-    return (experiments.serve_bench.render(results)
-            + f"\n\nserving benchmark written to {path}")
+        os.path.join(out, "BENCH_serving.json"), results)
+    return f"serving benchmark written to {path}"
 
 
-def _run_fig1(args) -> str:
-    paths = viz.save_dataset_examples(args.out)
-    return "Fig. 1 examples written:\n" + "\n".join(f"  {p}" for p in paths)
+def _module(module, kwargs=lambda args: {}, export=None) -> Experiment:
+    return Experiment(module.run, module.render, kwargs, export)
 
 
-EXPERIMENTS: Dict[str, Runner] = {
-    "table1": _run_table1,
-    "fig2": _run_fig2,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "table5": _run_table5,
-    "overhead": _run_overhead,
-    "ablations": _run_ablations,
-    "fault_matrix": _run_fault_matrix,
-    "serve_bench": _run_serve_bench,
-    "fig1": _run_fig1,
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": _module(experiments.table1,
+                      lambda args: {"n_per_range": args.frames_per_range}),
+    "fig2": _module(experiments.fig2, lambda args: {"n_scenes": args.scenes}),
+    "table2": _module(experiments.table2,
+                      lambda args: {"n_per_range": args.frames_per_range,
+                                    "n_scenes": args.scenes}),
+    "table3": _module(experiments.table3, lambda args: {
+        "n_per_range": max(4, args.frames_per_range // 2),
+        "n_test_scenes": args.scenes}),
+    "table4": _module(experiments.table4,
+                      lambda args: {"n_test_scenes": args.scenes}),
+    "table5": _module(experiments.table5, lambda args: {
+        "n_per_range": max(4, args.frames_per_range // 2),
+        "n_scenes": args.scenes}),
+    "overhead": _module(experiments.overhead),
+    "ablations": _module(experiments.ablations),
+    "extensions": _module(experiments.extensions),
+    "fault_matrix": _module(experiments.fault_matrix),
+    "serve_bench": _module(experiments.serve_bench,
+                           export=_export_serve_bench),
+    "fig1": Experiment(
+        viz.save_dataset_examples,
+        lambda paths: "Fig. 1 examples written:\n" + "\n".join(
+            f"  {p}" for p in paths),
+        lambda args: {"directory": args.out}),
 }
 
 
@@ -237,6 +207,14 @@ def _serve_main(argv) -> int:
     parser.add_argument("--out", default="results",
                         help="directory for the serve report JSON")
     args = parser.parse_args(argv)
+    try:
+        config = ServeConfig(
+            broker=BrokerConfig(deadline_ms=args.deadline_ms),
+            router_enabled=not args.no_router, n_replicas=args.replicas,
+            forked=False if args.serial else None)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     log = journal.start_run()
     print(f"run id: {log.run_id} (journal: {log.path})")
@@ -253,10 +231,6 @@ def _serve_main(argv) -> int:
             trace = trace.burst(args.burst)
         scorer = AdmissionScorer()
         scorer.calibrate(images)
-        config = ServeConfig(
-            broker=BrokerConfig(deadline_ms=args.deadline_ms),
-            router_enabled=not args.no_router, n_replicas=args.replicas,
-            forked=False if args.serial else None)
         report = run_serve(trace, PerceptionServer(PerceptionService(model)),
                            config, scorer=scorer)
         summary = report.summary()
@@ -311,7 +285,11 @@ def main(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     os.makedirs(args.out, exist_ok=True)
     for name in names:
-        output = EXPERIMENTS[name](args)
+        experiment = EXPERIMENTS[name]
+        result = experiment.run(**experiment.kwargs(args))
+        output = experiment.render(result)
+        if experiment.export is not None:
+            output += "\n\n" + experiment.export(result, args.out)
         print(output)
         print()
         path = os.path.join(args.out, f"{name}.txt")

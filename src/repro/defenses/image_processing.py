@@ -8,7 +8,7 @@ Three classical input-level techniques:
 
 These run on the data path in numpy (they need no gradients) and are cheap —
 the paper's Discussion measures them at ~20 ms/frame, vs. seconds for the
-diffusion defense; ``benchmarks/bench_overhead.py`` reproduces that gap.
+diffusion defense; ``python -m repro overhead`` reproduces that gap.
 :class:`MedianBlur` filters the whole batch in one call of
 :func:`repro.data.transforms.median_blur`, an exact min/max kernel with no
 loop over images or channels: ~1 ms per 64×128 driving frame in batches

@@ -8,6 +8,8 @@
   at equal iteration budgets.
 * **DiffPIR steps** — restoration quality vs runtime, the trade-off the
   Discussion says needs optimizing for real-time use.
+* **Weather** — clean error and FGSM-induced error under fog, rain and
+  night (§III-A's degraded-visibility framing).
 
 All sweeps except the DiffPIR one run as grid cells (parallel + cached);
 the DiffPIR sweep measures wall-clock per frame, so it stays serial and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -201,7 +203,7 @@ def render_weather(rows: List[WeatherRow]) -> str:
 class DiffusionStepsRow:
     n_steps: int
     restoration_mae: float
-    ms_per_frame: float
+    ms_per_frame: Optional[float]   # wall clock; None once stripped
 
 
 def diffusion_steps_sweep(step_counts=(2, 5, 10, 20), n_images: int = 8,
@@ -227,5 +229,22 @@ def render_diffusion_steps(rows: List[DiffusionStepsRow]) -> str:
     return format_table(
         ["DiffPIR steps", "restoration MAE", "ms/frame"],
         [[str(r.n_steps), f"{r.restoration_mae:.4f}",
-          f"{r.ms_per_frame:.1f}"] for r in rows],
+          "-" if r.ms_per_frame is None else f"{r.ms_per_frame:.1f}"]
+         for r in rows],
         title="Ablation: DiffPIR steps vs fidelity vs runtime")
+
+
+# ----------------------------------------------------------------------
+def run() -> Dict[str, List[Any]]:
+    """Every sweep at its defaults (``python -m repro ablations``)."""
+    return {"patch_size": patch_size_sweep(), "apgd_vs_pgd": apgd_vs_pgd(),
+            "diffusion_steps": diffusion_steps_sweep(),
+            "weather": weather_sweep()}
+
+
+def render(results: Dict[str, List[Any]]) -> str:
+    return "\n\n".join([
+        render_patch_size(results["patch_size"]),
+        render_apgd_vs_pgd(results["apgd_vs_pgd"]),
+        render_diffusion_steps(results["diffusion_steps"]),
+        render_weather(results["weather"])])

@@ -93,6 +93,15 @@ def max_retries(retries: Optional[int] = None) -> int:
 
 
 def fork_available() -> bool:
+    """Whether this process may fork workers.
+
+    False inside a forked worker: ``multiprocessing`` forbids a daemonic
+    process from having children, so a grid cell that serves through a
+    :class:`~repro.serving.ReplicaPool` (``serve_bench``) runs its replicas
+    in process instead of failing.
+    """
+    if mp.current_process().daemon:
+        return False
     try:
         return "fork" in mp.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms

@@ -71,6 +71,10 @@ class ServeConfig:
     forked: Optional[bool] = None  # default: fork when available
     wall_timeout: float = 10.0     # real seconds to declare a replica hung
 
+    def __post_init__(self) -> None:
+        if self.n_replicas < 1:
+            raise ValueError("n_replicas must be >= 1")
+
 
 @dataclass
 class ServeTick:

@@ -82,8 +82,6 @@ class ReplicaPool:
     def __init__(self, handler: Callable[[Any], Any], n_replicas: int = 3,
                  wall_timeout: float = 10.0,
                  forked: Optional[bool] = None):
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
         self.handler = handler
         self.n_replicas = int(n_replicas)
         self.wall_timeout = float(wall_timeout)

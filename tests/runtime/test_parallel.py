@@ -98,6 +98,12 @@ class TestForkedPath:
         assert excinfo.value.index == 2
         assert "cell exploded" in excinfo.value.remote_traceback
 
+    def test_workers_do_not_fork_again(self):
+        # multiprocessing forbids a daemonic worker from having children; a
+        # cell that would fork (a serving replica pool) must run in process.
+        assert parallel_map(lambda _: fork_available(), range(2),  # repro: noqa[R004] -- fork-start test: the closure never crosses a pickle boundary
+                            workers=2) == [False, False]
+
     def test_large_results_cross_the_queue(self):
         # Bigger than a pipe buffer, to exercise the queue feeder thread.
         arrays = parallel_map(lambda i: np.full((256, 256), i, np.float32),  # repro: noqa[R004] -- fork-start test: the closure never crosses a pickle boundary

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runtime.parallel import fork_available
-from repro.serving import ReplicaPool, REPLICA_SCOPE, slot_scope
+from repro.serving import (ReplicaPool, REPLICA_SCOPE, ServeConfig,
+                           slot_scope)
 
 pytestmark = pytest.mark.serving
 
@@ -109,5 +110,6 @@ class TestSerial:
 
     @pytest.mark.parametrize("n_replicas", [0, -1])
     def test_rejects_an_empty_pool(self, n_replicas):
+        # ServeConfig is the one place the replica count is validated.
         with pytest.raises(ValueError, match="n_replicas"):
-            ReplicaPool(_echo, n_replicas=n_replicas, forked=False)
+            ServeConfig(n_replicas=n_replicas)

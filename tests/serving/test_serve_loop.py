@@ -148,6 +148,20 @@ class TestServeCli:
         assert start[0]["replicas"] == 2
         assert start[0]["deadline_ms"] == 60.0  # repro: noqa[R005] -- float('60') parses to an exactly representable double
 
+    @pytest.mark.parametrize("flag", [["--replicas", "0"],
+                                      ["--deadline-ms", "0"]])
+    def test_out_of_range_flag_is_a_usage_error(self, flag, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(journal, "runs_root",
+                            lambda: str(tmp_path / "runs"))
+        monkeypatch.delenv(env.RUN_ID.name, raising=False)
+        code = cli_main(["serve", "--serial", "--ticks", "5", *flag,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert journal.get_journal() is None
+        assert not (tmp_path / "runs").exists()
+
     def test_serve_help_names_no_env_var(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["serve", "--help"])

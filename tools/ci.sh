@@ -3,7 +3,8 @@
 #
 #   tools/ci.sh          # smoke tier, then the fault-robustness tier
 #   tools/ci.sh full     # ... then the full test suite and the benchmark harness tests
-#   tools/ci.sh analyze  # static lint + analysis tier + sanitized smoke run
+#   tools/ci.sh analyze  # static lint + golden outputs + analysis tier +
+#                        # sanitized smoke run
 #   tools/ci.sh resume   # kill a journaled run mid-grid, resume, diff tables
 #   tools/ci.sh serve    # chaos serve drill + serving lint + serving suite
 #
@@ -16,11 +17,13 @@
 #   perfbench/ (wrapper restore, output bands, metric names); the tests that
 #   need the benchmark's trained zoo skip when it is absent.
 # Analyze tier (opt-in): the repro.analysis toolchain — AST lint over
-#   src/repro, tests, benchmarks, tools and examples (intentionally-broken
-#   lint fixtures excluded), the env-var table drift check, the determinism
-#   audit with one real Table II cell per defense family, the analysis test suite
-#   (lint rules, gradcheck, determinism audit, sanitizers), and the smoke
-#   tier re-run under live REPRO_SANITIZE=nan,alias hooks.
+#   src/repro, tests, tools and examples (intentionally-broken lint fixtures
+#   excluded), the env-var table drift check, the in-process determinism
+#   audit, the golden-output check (every deterministic paper output rerun
+#   with the result cache off and compared with tests/golden/
+#   paper_outputs.json, plus the paper-shape predicates), the analysis test
+#   suite (lint rules, gradcheck, determinism audit, golden, sanitizers),
+#   and the smoke tier re-run under live REPRO_SANITIZE=nan,alias hooks.
 # Resume tier (opt-in): crash-consistency end to end — tools/resume_smoke.py
 #   kills a journaled table3 run mid-grid under a fault plan, resumes it via
 #   `repro.cli run --resume`, and asserts the resumed table is bit-identical
@@ -38,13 +41,16 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 if [[ "${1:-}" == "analyze" ]]; then
     echo "== CI analyze: static lint =="
     python -m repro.cli analyze lint --exclude tests/analysis/fixtures \
-        src/repro tests benchmarks tools examples
+        src/repro tests tools examples
 
     echo "== CI analyze: env-var table drift =="
     python -m repro.cli analyze envdoc --check README.md
 
-    echo "== CI analyze: determinism audit (grid slice) =="
-    python -m repro.cli analyze audit --grid-slice
+    echo "== CI analyze: determinism audit =="
+    python -m repro.cli analyze audit
+
+    echo "== CI analyze: golden outputs =="
+    python -m repro.cli analyze golden
 
     echo "== CI analyze: analysis suite =="
     python -m pytest -m analysis -q
