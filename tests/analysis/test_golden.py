@@ -5,7 +5,8 @@ on a paper-like and a doctored result."""
 import numpy as np
 import pytest
 
-from repro.analysis import determinism, golden
+from repro import defenses
+from repro.analysis import golden
 from repro.eval.detection_metrics import DetectionMetrics
 from repro.eval.regression_metrics import RANGES, RangeErrors
 from repro.experiments.ablations import (DiffusionStepsRow, PatchSizeRow,
@@ -15,6 +16,7 @@ from repro.experiments.table2 import Table2Row
 from repro.experiments.table3 import ROW_NAMES, Table3Row
 from repro.experiments.table4 import SOURCES, Table4Row
 from repro.experiments.table5 import Table5Row
+from repro.models import detector
 from repro.pipeline.simulator import SimulationResult
 
 pytestmark = pytest.mark.analysis
@@ -29,22 +31,28 @@ def test_grid_slice_entries_match_the_golden_file():
         assert golden.status(recorded.get(name), entry) == golden.OK, name
 
 
-def test_one_ulp_conv_weight_moves_bits_not_printed(monkeypatch):
-    fixture = determinism._table2_fixture
+def _nudged(cls):
+    """``cls`` whose every instance has its first weight moved by 1 ulp."""
+    class Nudged(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            network = getattr(self, "network", self)  # a DDPM wraps its net
+            weight = next(iter(network.parameters())).data.reshape(-1)
+            weight[0] = np.nextafter(weight[0], np.float32(np.inf))
+    return Nudged
 
-    def nudged():
-        model, dataset, attack = fixture()
-        weight = dict(model.named_parameters())[
-            "backbone.stage1.conv.weight"].data.reshape(-1)
-        weight[0] = np.nextafter(weight[0], np.float32(np.inf))
-        return model, dataset, attack
 
-    monkeypatch.setattr(determinism, "_table2_fixture", nudged)
+def test_one_ulp_weight_moves_bits_not_printed(monkeypatch):
+    """Every grid-slice cell sees a 1-ulp change of a detector weight (of
+    the diffusion prior, for the diffusion cell) in its bits alone."""
+    monkeypatch.setattr(detector, "TinyDetector",
+                        _nudged(detector.TinyDetector))
+    monkeypatch.setattr(defenses, "DenoisingDiffusionModel",
+                        _nudged(defenses.DenoisingDiffusionModel))
     recorded = golden.load()
     statuses = {name: golden.status(recorded[name], entry)
                 for name, entry, _ in golden.rerun(GRID_SLICE)}
-    assert statuses["grid_slice.table2.contrastive"] == golden.BITS_MOVED
-    assert golden.PRINTED_MOVED not in statuses.values()
+    assert statuses == {name: golden.BITS_MOVED for name in GRID_SLICE}
 
 
 def test_golden_file_records_every_entry_and_rewrites_byte_identically():
