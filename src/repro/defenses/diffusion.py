@@ -147,9 +147,21 @@ class DenoisingDiffusionModel:
 
     # -- inference helpers -------------------------------------------------
     def predict_noise(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        sigma = np.full(len(x_t), self.sigma(np.array([t]))[0], dtype=np.float32)
+        """eps_theta(x_t) at step ``t``, run through the network one sample
+        at a time.
+
+        At batch 16 every activation is several MB, so each layer streams
+        the whole batch through memory; one sample's working set stays in
+        cache.  The noise predictor has no cross-sample op (per-sample
+        stride-1 convs, a per-slice stride-2 GEMM, no BatchNorm), so the
+        result equals one batched forward bit for bit.
+        """
+        sigma = self.sigma(np.array([t]))
+        eps = np.empty(x_t.shape, dtype=np.float32)
         with no_grad():
-            return self.network(Tensor(x_t), sigma).data
+            for i in range(len(x_t)):
+                eps[i] = self.network(Tensor(x_t[i:i + 1]), sigma).data[0]
+        return eps
 
     def predict_x0(self, x_t: np.ndarray, t: int) -> np.ndarray:
         """x0 estimate from the noise prediction at step t."""
