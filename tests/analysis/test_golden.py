@@ -42,7 +42,7 @@ def _nudged(cls):
     return Nudged
 
 
-def test_one_ulp_weight_moves_bits_not_printed(monkeypatch):
+def test_one_ulp_conv_weight_moves_bits_not_printed(monkeypatch):
     """Every grid-slice cell sees a 1-ulp change of a detector weight (of
     the diffusion prior, for the diffusion cell) in its bits alone."""
     monkeypatch.setattr(detector, "TinyDetector",

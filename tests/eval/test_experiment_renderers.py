@@ -54,9 +54,11 @@ class TestRenderers:
 
     def test_overhead_render(self):
         rows = [overhead.OverheadRow("Median Blurring", 3.5, True),
-                overhead.OverheadRow("Diffusion (DiffPIR)", 900.0, False)]
+                overhead.OverheadRow("Diffusion (DiffPIR)", 900.0, False),
+                overhead.OverheadRow(overhead.DIFFPIR_BATCH_1, 60.0, False)]
         out = overhead.render(rows)
         assert "ms/frame" in out and "NO" in out
+        assert "Diffusion (DiffPIR), batch 1 | 60.00" in out
 
     def test_ablation_renders(self):
         out = ablations.render_patch_size(

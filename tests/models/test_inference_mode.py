@@ -3,7 +3,8 @@
 ``DistanceRegressor.predict``, ``TinyDetector.detect`` and
 ``DenoisingDiffusionModel.predict_noise`` enter ``no_grad``; the first two
 also switch to eval mode for the call and must switch a training model
-back even when its forward raises.
+back even when its forward raises.  ``predict_noise`` runs its network one
+sample at a time and must equal one batched forward bit for bit.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.data.driving import MAX_DISTANCE
 from repro.defenses.diffusion import DenoisingDiffusionModel
 from repro.models import DistanceRegressor, TinyDetector
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 
 FRAMES = np.random.default_rng(0).random((2, 3, 64, 128)).astype(np.float32)
 SIGNS = np.random.default_rng(1).random((2, 3, 64, 64)).astype(np.float32)
@@ -68,3 +69,33 @@ def test_predict_noise_leaves_no_gradients():
     assert np.isfinite(eps).all()
     assert all(p.grad is None for p in prior.network.parameters())
     assert recording()
+
+
+def batched_noise(prior, x_t, t):
+    """One batched forward of the noise predictor, as predict_noise once ran."""
+    sigma = np.full(len(x_t), prior.sigma(np.array([t]))[0], dtype=np.float32)
+    with no_grad():
+        return prior.network(Tensor(x_t), sigma).data
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("batch", [1, 2, 3, 16])
+@pytest.mark.parametrize("frame", [(64, 64), (64, 128)],
+                         ids=["sign", "driving"])
+@pytest.mark.parametrize("hidden", [8, 40])
+def test_predict_noise_equals_one_batched_forward(hidden, frame, batch):
+    prior = DenoisingDiffusionModel(timesteps=10, hidden=hidden, seed=hidden)
+    x_t = np.random.default_rng(batch).standard_normal(
+        (batch, 3) + frame).astype(np.float32)
+    eps = prior.predict_noise(x_t, 3)
+    expected = batched_noise(prior, x_t, 3)
+    assert eps.dtype == expected.dtype
+    assert np.array_equal(eps, expected)
+
+
+@pytest.mark.smoke
+def test_predict_noise_of_an_empty_batch_is_empty():
+    prior = DenoisingDiffusionModel(timesteps=10, hidden=8, seed=0)
+    eps = prior.predict_noise(np.zeros((0, 3, 64, 128), np.float32), 3)
+    assert eps.shape == (0, 3, 64, 128)
+    assert eps.dtype == np.float32

@@ -14,9 +14,7 @@ def run_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKERS", "1")
     monkeypatch.delenv(env.CACHE_MAX_MB.name, raising=False)
-    journal.set_journal(None)
-    yield str(tmp_path)
-    journal.set_journal(None)
+    return str(tmp_path)
 
 
 def _grid(cache, calls, name="demo", keys=("a", "b", "c")):

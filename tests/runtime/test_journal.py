@@ -14,10 +14,6 @@ pytestmark = pytest.mark.smoke
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
     monkeypatch.setenv(env.CACHE_DIR.name, str(tmp_path))
-    monkeypatch.delenv(env.RUN_ID.name, raising=False)
-    journal.set_journal(None)
-    yield
-    journal.set_journal(None)
 
 
 class TestAppendAndRead:
@@ -114,6 +110,19 @@ class TestRunLifecycle:
     def test_emit_without_active_journal_is_noop(self):
         journal.emit({"event": "ignored"})  # must not raise or create files
         assert not os.path.exists(journal.runs_root())
+
+
+class TestNoRunLeaksBetweenTests:
+    """``tests/conftest.py`` detaches the journal and unsets
+    ``REPRO_RUN_ID`` after every test; pytest runs these two in order."""
+
+    def test_opens_a_run(self):
+        journal.start_run()
+        assert env.RUN_ID.raw() is not None
+
+    def test_the_next_test_sees_no_run(self):
+        assert env.RUN_ID.raw() is None
+        assert journal.get_journal() is None
 
 
 class TestRetrainingFan:

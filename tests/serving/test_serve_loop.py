@@ -88,10 +88,7 @@ class TestBreakerJournal:
     def test_crashloop_trips_are_journaled(self, stack, tmp_path):
         log = journal.RunJournal("run-0001", str(tmp_path))
         journal.set_journal(log)
-        try:
-            report = _serve(stack, plan="crash@serve.replica.0:attempt=0+")
-        finally:
-            journal.set_journal(None)
+        report = _serve(stack, plan="crash@serve.replica.0:attempt=0+")
         assert report.summary()["breaker_trips"] >= 1
         assert any(t["slot"] == 0 and t["to"] == "open"
                    for t in report.breaker_transitions)
@@ -129,16 +126,12 @@ class TestServeCli:
     def test_serve_verb_records_its_flags(self, tmp_path, monkeypatch):
         monkeypatch.setattr(journal, "runs_root",
                             lambda: str(tmp_path / "runs"))
-        monkeypatch.delenv(env.RUN_ID.name, raising=False)
         monkeypatch.delenv(env.FAULT_PLAN.name, raising=False)
         out = tmp_path / "out"
-        try:
-            code = cli_main(["serve", "--serial", "--ticks", "20",
-                             "--replicas", "2", "--deadline-ms", "60",
-                             "--out", str(out)])
-            log = journal.get_journal()
-        finally:
-            journal.set_journal(None)
+        code = cli_main(["serve", "--serial", "--ticks", "20",
+                         "--replicas", "2", "--deadline-ms", "60",
+                         "--out", str(out)])
+        log = journal.get_journal()
         assert code == 0
         with open(out / "serve_report.json") as handle:
             assert json.load(handle)["summary"]["ticks"] == 20
@@ -154,7 +147,6 @@ class TestServeCli:
                                                 monkeypatch, capsys):
         monkeypatch.setattr(journal, "runs_root",
                             lambda: str(tmp_path / "runs"))
-        monkeypatch.delenv(env.RUN_ID.name, raising=False)
         code = cli_main(["serve", "--serial", "--ticks", "5", *flag,
                          "--out", str(tmp_path / "out")])
         assert code == 2
