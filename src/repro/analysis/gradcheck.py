@@ -331,6 +331,44 @@ def _pad2d():
     return forward, [("x", x)]
 
 
+@case("clip_clone")
+def _clip_clone():
+    rng = np.random.default_rng(83)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+    def forward() -> Tensor:
+        return _weighted_sum(x.clip(-0.5, 0.5) + x.clone(),
+                             np.random.default_rng(84))
+
+    return forward, [("x", x)]
+
+
+@case("max")
+def _max():
+    rng = np.random.default_rng(85)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+
+    def forward() -> Tensor:
+        rows = _weighted_sum(x.max(axis=1), np.random.default_rng(86))
+        return rows + x.max()
+
+    return forward, [("x", x)]
+
+
+@case("concatenate_stack")
+def _concatenate_stack():
+    rng = np.random.default_rng(87)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+
+    def forward() -> Tensor:
+        joined = nn.concatenate([a, b], axis=1)
+        return _weighted_sum(nn.stack([joined, joined * joined], axis=1),
+                             np.random.default_rng(88))
+
+    return forward, [("a", a), ("b", b)]
+
+
 @case("activations")
 def _activations():
     rng = np.random.default_rng(51)

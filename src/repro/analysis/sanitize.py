@@ -5,10 +5,11 @@ Enabled with ``REPRO_SANITIZE=<modes>`` (comma-separated) or explicitly via
 
 * ``nan`` — *tape sanitizer*: checks every op output during the forward
   pass and every op output-gradient during the backward sweep, raising
-  :class:`SanitizeError` naming the originating op (from its backward
-  closure) and the live module path (``Detector.ConvBlock.BatchNorm2d``)
-  the moment a NaN/Inf first appears, instead of letting it surface three
-  layers later as a mysteriously diverged loss.  Also arms the NaN guard
+  :class:`SanitizeError` naming the originating op (the name it records
+  on the tape), the named weights among its inputs and the live module
+  path (``Detector.ConvBlock.BatchNorm2d``) the moment a NaN/Inf first
+  appears, instead of letting it surface three layers later as a
+  mysteriously diverged loss.  Also arms the NaN guard
   in :func:`repro.attacks.base.input_gradient`.
 * ``alias`` — *aliasing detector*: after every ``optimizer.step()``,
   fingerprints the optimizer's scratch buffers (``_velocity``,
@@ -121,55 +122,32 @@ def installed_modes() -> FrozenSet[str]:
 # Tape sanitizer (mode "nan")
 # ---------------------------------------------------------------------------
 
-def op_name(backward: Any) -> str:
-    """Human-readable op name from a backward closure.
-
-    The autodiff core names every closure after the op that created it
-    (``Tensor.__mul__.<locals>.backward``, ``conv2d.<locals>.backward``),
-    so the qualname prefix is the op.
-    """
-    qual = getattr(backward, "__qualname__", None) or "?"
-    return qual.split(".<locals>")[0]
-
-
-def op_parameters(backward: Any) -> list:
-    """Named parameter tensors captured by a backward closure.
+def parameter_report(parents: Iterable[Any]) -> str:
+    """Which named weight tensors the failing op used, flagging bad ones.
 
     ``Module.named_parameters`` stamps each parameter's dotted path onto
-    ``Tensor.name``; the backward closure of an op holds its input tensors
-    in ``__closure__``, so the intersection is exactly the weight tensors
-    this op touched.
+    ``Tensor.name``, so the named tensors among an op's parents are exactly
+    the weights it touched.
     """
-    found = {}
-    for cell in getattr(backward, "__closure__", None) or ():
-        try:
-            value = cell.cell_contents
-        except ValueError:  # pragma: no cover - empty cell
-            continue
-        name = getattr(value, "name", None)
-        if name and isinstance(getattr(value, "data", None), np.ndarray):
-            found[name] = value
-    return [found[name] for name in sorted(found)]
-
-
-def parameter_report(backward: Any) -> str:
-    """Which named weight tensors the failing op used, flagging bad ones."""
+    found = {tensor.name: tensor for tensor in parents if tensor.name}
     notes = []
-    for tensor in op_parameters(backward):
+    for name in sorted(found):
+        tensor = found[name]
         flags = []
         if non_finite_report(tensor.data) is not None:
             flags.append("non-finite data")
-        grad = getattr(tensor, "grad", None)
+        grad = tensor.grad
         if grad is not None and non_finite_report(grad) is not None:
             flags.append("non-finite grad")
         suffix = f" <-- {', '.join(flags)}" if flags else ""
-        notes.append(f"{tensor.name}{suffix}")
+        notes.append(f"{name}{suffix}")
     if not notes:
         return ""
     return "; parameters in op: " + ", ".join(notes)
 
 
-def tape_check(phase: str, array: np.ndarray, op: Any) -> None:
+def tape_check(phase: str, array: np.ndarray, op_name: str,
+               parents: Iterable[Any]) -> None:
     """Installed as :data:`repro.nn.hooks.TAPE_CHECK` under mode ``nan``."""
     report = non_finite_report(array)
     if report is None:
@@ -177,8 +155,8 @@ def tape_check(phase: str, array: np.ndarray, op: Any) -> None:
     kind = "output of" if phase == "forward" else "gradient flowing out of"
     raise SanitizeError(
         f"tape sanitizer: non-finite {phase} {kind} op "
-        f"{op_name(op)} (module path: {hooks.module_path()}): {report}"
-        f"{parameter_report(op)}")
+        f"{op_name} (module path: {hooks.module_path()}): {report}"
+        f"{parameter_report(parents)}")
 
 
 # ---------------------------------------------------------------------------

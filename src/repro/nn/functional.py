@@ -3,10 +3,11 @@
 Convolution and pooling hand their heavy lifting to numpy's BLAS-backed
 ``matmul``: stride-1 convolutions as per-sample shifted GEMMs over a padded,
 batch-major copy of the input, strided convolutions and pooling through
-im2col.  Each function constructs a :class:`Tensor` with a custom backward
-closure rather than being composed from elementwise primitives, which keeps
-both the forward and the backward pass fast enough to train the paper's
-models on a CPU.
+im2col.  Each function is one tape op: it computes its output in numpy and
+records it through :func:`repro.nn.tensor._op` with one hand-written
+vector-Jacobian product per input, rather than being composed from
+elementwise primitives, which keeps both the forward and the backward pass
+fast enough to train the paper's models on a CPU.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _unbroadcast, default_dtype
+from .tensor import Tensor, _op, _unbroadcast, default_dtype
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -190,53 +191,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             out += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    if shifted:
+        def weight_vjp(g: np.ndarray) -> np.ndarray:
+            # One K = N*Hp*Wp GEMM per tap over channel-major copies:
+            # summing per sample would reorder the float sums, and so the
+            # bits of every trained weight.
+            total = n * hp * wp
+            g_major = np.zeros((f, n, hp, wp), dtype=dtype)
+            g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
+            g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
+            x_major = np.ascontiguousarray(
+                flat.transpose(1, 0, 2)).reshape(c, total)
+            grad_taps = np.stack([
+                g_major @ x_major[:, offset:offset + g_major.shape[1]].T
+                for offset in offsets])
+            return grad_taps.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
 
-    def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if shifted:
-            if weight.requires_grad:
-                # One K = N*Hp*Wp GEMM per tap over channel-major copies:
-                # summing per sample would reorder the float sums, and so
-                # the bits of every trained weight.
-                total = n * hp * wp
-                g_major = np.zeros((f, n, hp, wp), dtype=dtype)
-                g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
-                g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
-                x_major = np.ascontiguousarray(
-                    flat.transpose(1, 0, 2)).reshape(c, total)
-                grad_taps = np.stack([
-                    g_major @ x_major[:, offset:offset + g_major.shape[1]].T
-                    for offset in offsets])
-                _accumulate(weight, grad_taps.reshape(kh, kw, f, c)
-                            .transpose(2, 3, 0, 1))
-            if x.requires_grad:
-                g_span = np.zeros((f, span), dtype=dtype)
-                g_crop = _span_rows(g_span, (out_h, out_w), wp)
-                grad = np.empty((c, hp * wp), dtype=dtype)
-                grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
-                product = np.empty((c, span), dtype=dtype)
-                grad_x = np.empty((n, c, h, w), dtype=dtype)
-                for g_n, grad_n in zip(g, grad_x):
-                    g_crop[...] = g_n
-                    grad.fill(0)
-                    for tap, offset in zip(taps, offsets):
-                        grad[:, offset:offset + span] += np.matmul(
-                            tap.T, g_span, out=product)
-                    grad_n[...] = grad_crop
-                _accumulate(x, grad_x)
-        else:
-            g2d = g.reshape(n, f, out_h * out_w)
-            if weight.requires_grad:
-                grad_w = (g2d.transpose(1, 0, 2).reshape(f, -1)
-                          @ cols.transpose(1, 0, 2).reshape(c * kh * kw, -1).T)
-                _accumulate(weight, grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                grad_cols = np.matmul(w2d.T, g2d)
-                _accumulate(x, col2im(grad_cols, (n, c, h, w), (kh, kw),
-                                      stride, padding, (out_h, out_w)))
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            g_span = np.zeros((f, span), dtype=dtype)
+            g_crop = _span_rows(g_span, (out_h, out_w), wp)
+            grad = np.empty((c, hp * wp), dtype=dtype)
+            grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
+            product = np.empty((c, span), dtype=dtype)
+            grad_x = np.empty((n, c, h, w), dtype=dtype)
+            for g_n, grad_n in zip(g, grad_x):
+                g_crop[...] = g_n
+                grad.fill(0)
+                for tap, offset in zip(taps, offsets):
+                    grad[:, offset:offset + span] += np.matmul(
+                        tap.T, g_span, out=product)
+                grad_n[...] = grad_crop
+            return grad_x
+    else:
+        w_shape = weight.shape
 
-    return Tensor._make(out.astype(dtype, copy=False), parents, backward)
+        def weight_vjp(g: np.ndarray) -> np.ndarray:
+            grad_w = (g.reshape(n, f, out_h * out_w).transpose(1, 0, 2)
+                      .reshape(f, -1)
+                      @ cols.transpose(1, 0, 2).reshape(c * kh * kw, -1).T)
+            return grad_w.reshape(w_shape)
+
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            grad_cols = np.matmul(w2d.T, g.reshape(n, f, out_h * out_w))
+            return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
+                          (out_h, out_w))
+
+    return _op("conv2d", out.astype(dtype, copy=False), parents,
+               (x_vjp, weight_vjp, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def batch_norm_eval(x: Tensor, running_mean: np.ndarray,
@@ -263,23 +264,10 @@ def batch_norm_eval(x: Tensor, running_mean: np.ndarray,
     x_hat *= inv_std
     out = x_hat * scale
     out += beta.data.reshape(shape)
-    # Decide the parameter branches at forward time: a parameter frozen
-    # for the forward stays a constant of this node if thawed before the
-    # backward, as it would in a graph of Tensor ops.
-    grad_gamma, grad_beta = gamma.requires_grad, beta.requires_grad
-    if not grad_gamma:
-        x_hat = None
-
-    def backward(g: np.ndarray) -> None:
-        if grad_beta:
-            _accumulate(beta, _unbroadcast(g, shape).reshape(beta.shape))
-        if grad_gamma:
-            _accumulate(gamma, _unbroadcast(g * x_hat, shape)
-                        .reshape(gamma.shape))
-        if x.requires_grad:
-            _accumulate(x, g * scale * inv_std)
-
-    return Tensor._make(out, (x, gamma, beta), backward)
+    return _op("batch_norm_eval", out, (x, gamma, beta),
+               (lambda g: g * scale * inv_std,
+                lambda g: _unbroadcast(g * x_hat, shape).reshape(gamma.shape),
+                lambda g: _unbroadcast(g, shape).reshape(beta.shape)))
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
@@ -298,15 +286,16 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
     out = out.reshape(n, c, out_h, out_w)
     x_shape = x.shape
 
-    def backward(g: np.ndarray) -> None:
+    def vjp(g: np.ndarray) -> np.ndarray:
         grad_cols = np.zeros((n * c, kh * kw, out_h * out_w), dtype=x.data.dtype)
         flat = g.reshape(n * c, 1, out_h * out_w)
         np.put_along_axis(grad_cols, argmax[:, None, :], flat, axis=1)
         grad = col2im(grad_cols.reshape(n * c, kh * kw, out_h * out_w),
                       (n * c, 1, h, w), kernel, stride, (0, 0), (out_h, out_w))
-        _accumulate(x, grad.reshape(x_shape))
+        return grad.reshape(x_shape)
 
-    return Tensor._make(out.astype(x.data.dtype, copy=False), (x,), backward)
+    return _op("max_pool2d", out.astype(x.data.dtype, copy=False), (x,),
+               (vjp,))
 
 
 def avg_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
@@ -322,14 +311,15 @@ def avg_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
     x_shape = x.shape
     scale = 1.0 / (kh * kw)
 
-    def backward(g: np.ndarray) -> None:
+    def vjp(g: np.ndarray) -> np.ndarray:
         flat = g.reshape(n * c, 1, out_h * out_w)
         grad_cols = np.broadcast_to(flat * scale, (n * c, kh * kw, out_h * out_w))
         grad = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w),
                       kernel, stride, (0, 0), (out_h, out_w))
-        _accumulate(x, grad.reshape(x_shape))
+        return grad.reshape(x_shape)
 
-    return Tensor._make(out.astype(x.data.dtype, copy=False), (x,), backward)
+    return _op("avg_pool2d", out.astype(x.data.dtype, copy=False), (x,),
+               (vjp,))
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -344,12 +334,9 @@ def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
     """
     n, c, h, w = x.shape
     out = x.data.repeat(scale, axis=2).repeat(scale, axis=3)
-
-    def backward(g: np.ndarray) -> None:
-        grad = g.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        _accumulate(x, grad)
-
-    return Tensor._make(out, (x,), backward)
+    return _op("upsample_nearest2d", out, (x,),
+               (lambda g: g.reshape(n, c, h, scale, w, scale)
+                .sum(axis=(3, 5)),))
 
 
 def pad2d(x: Tensor, padding: Tuple[int, int]) -> Tensor:
@@ -357,11 +344,7 @@ def pad2d(x: Tensor, padding: Tuple[int, int]) -> Tensor:
     ph, pw = padding
     out = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
     h, w = x.shape[2], x.shape[3]
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g[:, :, ph:ph + h, pw:pw + w])
-
-    return Tensor._make(out, (x,), backward)
+    return _op("pad2d", out, (x,), (lambda g: g[:, :, ph:ph + h, pw:pw + w],))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -381,8 +364,4 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     if not training or p <= 0.0:
         return x
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward)
+    return _op("dropout", x.data * mask, (x,), (lambda g: g * mask,))

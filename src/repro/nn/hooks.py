@@ -15,10 +15,12 @@ its runtime checks.  ``repro.nn`` never imports the analysis package (that
 would invert the dependency graph); instead the sanitizers install plain
 callables here:
 
-* :data:`TAPE_CHECK` — called by the autodiff core with
-  ``(phase, array, op)`` for every op output (``phase="forward"``) and every
-  op output-gradient (``phase="backward"``).  ``op`` is the backward closure
-  whose ``__qualname__`` names the originating operation.
+* :data:`TAPE_CHECK` — called by :func:`repro.nn.tensor._op` with
+  ``(phase, array, op_name, parents)`` for every op output
+  (``phase="forward"``, all of the op's input tensors) and by
+  :meth:`repro.nn.Tensor.backward` for every op output-gradient
+  (``phase="backward"``, the inputs that get a gradient).  ``op_name``
+  names the originating operation (``Tensor.__mul__``, ``conv2d``).
 * :data:`ALIAS_CHECK` — called by every optimizer at the end of ``step()``
   with the optimizer instance, so a detector can fingerprint scratch
   buffers against parameter/grad storage.
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-#: sanitizer slot: fn(phase, array, op) -> None; installed by
-#: repro.analysis.sanitize, read by Tensor._make / Tensor.backward.
-TAPE_CHECK: Optional[Callable[[str, Any, Any], None]] = None
+#: sanitizer slot: fn(phase, array, op_name, parents) -> None; installed
+#: by repro.analysis.sanitize, read by tensor._op / Tensor.backward.
+TAPE_CHECK: Optional[Callable[[str, Any, str, Tuple[Any, ...]], None]] = None
 
 #: sanitizer slot: fn(optimizer) -> None; called at the end of step().
 ALIAS_CHECK: Optional[Callable[[Any], None]] = None
@@ -84,7 +86,7 @@ def module_path() -> str:
     return ".".join(MODULE_STACK) if MODULE_STACK else "<no module>"
 
 
-def set_tape_check(fn: Optional[Callable[[str, Any, Any], None]]) -> None:
+def set_tape_check(fn: Optional[Callable[..., None]]) -> None:
     """Install (or clear, with ``None``) the autodiff tape sanitizer."""
     global TAPE_CHECK
     TAPE_CHECK = fn

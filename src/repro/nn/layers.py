@@ -84,9 +84,10 @@ class Module:
     def frozen(self) -> Iterator[None]:
         """Treat the parameters as constants for the block.
 
-        Clears ``requires_grad`` on every parameter that has it, so a
-        backward sweep computes input gradients only: each backward closure
-        skips its parameter branch and ``param.grad`` is left untouched.
+        Clears ``requires_grad`` on every parameter that has it, so ops
+        run in the block keep no VJP for a parameter: their backward
+        computes input gradients only and ``param.grad`` is left
+        untouched, also when the backward runs after the block exits.
         On exit, even when the body raises, exactly the parameters it
         cleared get ``requires_grad`` back.  Nests.
         """

@@ -4,9 +4,13 @@ This module is the computational substrate for the whole reproduction: the
 paper's attacks (FGSM, Auto-PGD, RP2, CAP) all require gradients of a loss
 with respect to the *input image*, and every defense requires training, so a
 real autodiff engine is non-negotiable.  The design follows the classic
-tape-based approach: every operation records a backward closure and its
-parent tensors; :meth:`Tensor.backward` topologically sorts the graph and
-accumulates gradients.
+tape-based approach.  Every op computes its output and hands it to
+:func:`_op` with its name, its parent tensors and one vector-Jacobian
+product per parent (``g -> gradient of that parent``).  :func:`_op` is the
+one place that calls the tape sanitizer, honours :func:`no_grad`, keeps the
+parents that require grad and builds the backward that undoes broadcasting
+and accumulates; :meth:`Tensor.backward` topologically sorts the graph and
+runs those backwards.
 
 Tensors hold ``float32`` numpy arrays by default.  The working precision is
 a process-global knob (:func:`default_dtype` / :func:`precision`): the
@@ -17,8 +21,8 @@ broadcast operands are reduced back to the operand's shape (see
 :func:`_unbroadcast`).
 
 Recording is also a process-global switch: inside :func:`no_grad` ops
-record no tape, so inference keeps no parents and no backward closures,
-and each op's saved buffers are freed as soon as the op returns.
+record no tape, so inference keeps no parents and no VJPs, and each op's
+saved buffers are freed as soon as the op returns.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class Tensor:
     """A numpy-backed tensor that records operations for backpropagation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name")
+                 "_op", "name")
     __array_priority__ = 100  # make numpy defer to our __radd__ etc.
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
@@ -114,6 +118,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
+        # Name of the op that produced this tensor (None for a leaf).
+        self._op: Optional[str] = None
         # Dotted parameter path (stamped by Module.named_parameters) so
         # sanitizer reports can say *which weight* went non-finite.
         self.name: Optional[str] = None
@@ -151,63 +157,28 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def clone(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.requires_grad:
-            out._parents = (self,)
-            out._backward = lambda g: _accumulate(self, g)
-        return out
+        return _op("Tensor.clone", self.data.copy(), (self,), (lambda g: g,))
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # ------------------------------------------------------------------
-    # Graph construction helper
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        check = hooks.TAPE_CHECK
-        if check is not None:
-            check("forward", data, backward)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
-        return out
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g, other.shape))
-
-        return Tensor._make(self.data + other.data, (self, other), backward)
+        return _op("Tensor.__add__", self.data + other.data, (self, other),
+                   (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, -g)
-
-        return Tensor._make(-self.data, (self,), backward)
+        return _op("Tensor.__neg__", -self.data, (self,), (lambda g: -g,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(-g, other.shape))
-
-        return Tensor._make(self.data - other.data, (self, other), backward)
+        return _op("Tensor.__sub__", self.data - other.data, (self, other),
+                   (lambda g: g, lambda g: -g))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) - self
@@ -215,28 +186,16 @@ class Tensor:
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g * b, self.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g * a, other.shape))
-
-        return Tensor._make(a * b, (self, other), backward)
+        return _op("Tensor.__mul__", a * b, (self, other),
+                   (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g / b, self.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(-g * a / (b * b), other.shape))
-
-        return Tensor._make(a / b, (self, other), backward)
+        return _op("Tensor.__truediv__", a / b, (self, other),
+                   (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) / self
@@ -245,133 +204,90 @@ class Tensor:
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
         a = self.data
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * exponent * np.power(a, exponent - 1))
-
-        return Tensor._make(np.power(a, exponent), (self,), backward)
+        return _op("Tensor.__pow__", np.power(a, exponent), (self,),
+                   (lambda g: g * exponent * np.power(a, exponent - 1),))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                ga = g @ np.swapaxes(b, -1, -2)
-                _accumulate(self, _unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(a, -1, -2) @ g
-                _accumulate(other, _unbroadcast(gb, other.shape))
-
-        return Tensor._make(a @ b, (self, other), backward)
+        return _op("Tensor.__matmul__", a @ b, (self, other),
+                   (lambda g: g @ np.swapaxes(b, -1, -2),
+                    lambda g: np.swapaxes(a, -1, -2) @ g))
 
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.exp", out_data, (self,), (lambda g: g * out_data,))
 
     def log(self) -> "Tensor":
         a = self.data
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g / a)
-
-        return Tensor._make(np.log(a), (self,), backward)
+        return _op("Tensor.log", np.log(a), (self,), (lambda g: g / a,))
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g / (2.0 * out_data))
-
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.sqrt", out_data, (self,),
+                   (lambda g: g / (2.0 * out_data),))
 
     def abs(self) -> "Tensor":
         a = self.data
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * np.sign(a))
-
-        return Tensor._make(np.abs(a), (self,), backward)
+        return _op("Tensor.abs", np.abs(a), (self,),
+                   (lambda g: g * np.sign(a),))
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * (1.0 - out_data * out_data))
-
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.tanh", out_data, (self,),
+                   (lambda g: g * (1.0 - out_data * out_data),))
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.sigmoid", out_data, (self,),
+                   (lambda g: g * out_data * (1.0 - out_data),))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * mask)
-
-        return Tensor._make(self.data * mask, (self,), backward)
+        return _op("Tensor.relu", self.data * mask, (self,),
+                   (lambda g: g * mask,))
 
     def leaky_relu(self, negative_slope: float = 0.1) -> "Tensor":
         a = self.data
         factor = np.where(a > 0, 1.0, negative_slope).astype(a.dtype)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * factor)
-
-        return Tensor._make(a * factor, (self,), backward)
+        return _op("Tensor.leaky_relu", a * factor, (self,),
+                   (lambda g: g * factor,))
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x) — the activation YOLOv8 uses."""
         a = self.data
         sig = 1.0 / (1.0 + np.exp(-a))
-        out_data = a * sig
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * (sig * (1.0 + a * (1.0 - sig))))
-
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.silu", a * sig, (self,),
+                   (lambda g: g * (sig * (1.0 + a * (1.0 - sig))),))
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient passes only where unclipped."""
         a = self.data
         mask = ((a >= low) & (a <= high)).astype(a.dtype)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * mask)
-
-        return Tensor._make(np.clip(a, low, high), (self,), backward)
+        return _op("Tensor.clip", np.clip(a, low, high), (self,),
+                   (lambda g: g * mask,))
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
 
-        def backward(g: np.ndarray) -> None:
+        def vjp(g: np.ndarray) -> np.ndarray:
             grad = np.asarray(g, dtype=self.data.dtype)
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 axes = tuple(a % len(shape) for a in axes)
                 for ax in sorted(axes):
                     grad = np.expand_dims(grad, ax)
-            _accumulate(self, np.broadcast_to(grad, shape).copy())
+            return np.broadcast_to(grad, shape).copy()
 
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.sum", self.data.sum(axis=axis, keepdims=keepdims),
+                   (self,), (vjp,))
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
              keepdims: bool = False) -> "Tensor":
@@ -383,7 +299,7 @@ class Tensor:
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
 
-        def backward(g: np.ndarray) -> None:
+        def vjp(g: np.ndarray) -> np.ndarray:
             if axis is None:
                 mask = (self.data == out_data).astype(self.data.dtype)
             else:
@@ -393,9 +309,9 @@ class Tensor:
             grad = np.asarray(g, dtype=self.data.dtype)
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            _accumulate(self, mask * grad)
+            return mask * grad
 
-        return Tensor._make(out_data, (self,), backward)
+        return _op("Tensor.max", out_data, (self,), (vjp,))
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -404,11 +320,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.shape
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g.reshape(original))
-
-        return Tensor._make(self.data.reshape(shape), (self,), backward)
+        return _op("Tensor.reshape", self.data.reshape(shape), (self,),
+                   (lambda g: g.reshape(original),))
 
     def transpose(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -416,11 +329,8 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g.transpose(inverse))
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
+        return _op("Tensor.transpose", self.data.transpose(axes), (self,),
+                   (lambda g: g.transpose(inverse),))
 
     def flatten(self, start_dim: int = 0) -> "Tensor":
         shape = self.shape[:start_dim] + (-1,)
@@ -429,12 +339,12 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         original_shape = self.shape
 
-        def backward(g: np.ndarray) -> None:
+        def vjp(g: np.ndarray) -> np.ndarray:
             grad = np.zeros(original_shape, dtype=self.data.dtype)
             np.add.at(grad, index, g)
-            _accumulate(self, grad)
+            return grad
 
-        return Tensor._make(self.data[index], (self,), backward)
+        return _op("Tensor.__getitem__", self.data[index], (self,), (vjp,))
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -475,8 +385,37 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 if check is not None:
-                    check("backward", node.grad, node._backward)
+                    check("backward", node.grad, node._op, node._parents)
                 node._backward(node.grad)
+
+
+def _op(name: str, data: np.ndarray, parents: Tuple[Tensor, ...],
+        vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Record one tape op: ``data``, computed by op ``name`` from ``parents``.
+
+    ``vjps[i]`` maps the output's gradient to the gradient of
+    ``parents[i]`` (before any broadcast is undone).  Only the parents that
+    require grad now, at forward time, keep their VJP, so a parameter
+    frozen for the forward stays a constant of this op even if thawed
+    before the backward, and the buffers that only a dropped VJP reads are
+    freed when the op returns.  Under :func:`no_grad` nothing is kept.
+    """
+    check = hooks.TAPE_CHECK
+    if check is not None:
+        check("forward", data, name, parents)
+    out = Tensor(data)
+    out._op = name
+    if _GRAD_ENABLED:
+        kept = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+        if kept:
+            def backward(g: np.ndarray) -> None:
+                for parent, vjp in kept:
+                    _accumulate(parent, _unbroadcast(vjp(g), parent.shape))
+
+            out.requires_grad = True
+            out._parents = tuple(parent for parent, _ in kept)
+            out._backward = backward
+    return out
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -490,32 +429,24 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                _accumulate(tensor, g[tuple(index)])
-
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    index = [slice(None)] * data.ndim
+    pieces = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        index[axis] = slice(start, stop)
+        pieces.append(tuple(index))
+    return _op("concatenate", data, tuple(tensors),
+               [lambda g, piece=piece: g[piece] for piece in pieces])
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new axis."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-
-    def backward(g: np.ndarray) -> None:
-        slices = np.moveaxis(g, axis, 0)
-        for tensor, piece in zip(tensors, slices):
-            if tensor.requires_grad:
-                _accumulate(tensor, piece)
-
     data = np.stack([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tuple(tensors), backward)
+    return _op("stack", data, tuple(tensors),
+               [lambda g, i=i: np.moveaxis(g, axis, 0)[i]
+                for i in range(len(tensors))])
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -523,19 +454,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     cond = np.asarray(condition, dtype=bool)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * cond, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * (~cond), b.shape))
-
-    return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)
-
-
-def no_grad_tensor(data: ArrayLike) -> Tensor:
-    """Convenience constructor for constants."""
-    return Tensor(data, requires_grad=False)
+    return _op("where", np.where(cond, a.data, b.data), (a, b),
+               (lambda g: g * cond, lambda g: g * (~cond)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Gradient-check harness tests: every registered case passes, and a
 deliberately wrong backward formula demonstrably fails."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.nn
 from repro.analysis import gradcheck
 from repro.analysis.cli import main as analysis_main
-from repro.nn import Tensor
+from repro.nn import Tensor, hooks
 
 pytestmark = pytest.mark.analysis
 
@@ -21,6 +25,36 @@ def test_every_registered_case_passes():
     # float64 central differences resolve far below the acceptance tol —
     # a pass near the tolerance boundary would itself be suspicious.
     assert max(r.max_rel_error for r in results) < 1e-6
+
+
+def tape_op_names() -> set:
+    """Every ``_op("<name>", ...)`` literal in the ``repro.nn`` sources."""
+    names = set()
+    for path in Path(repro.nn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_op" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_every_tape_op_has_a_gradcheck_case():
+    ops = tape_op_names()
+    assert {"Tensor.__mul__", "conv2d", "batch_norm_eval"} <= ops
+    ran = set()
+
+    def record(phase, array, op_name, parents):
+        if phase == "backward":
+            ran.add(op_name)
+
+    previous = hooks.TAPE_CHECK
+    hooks.set_tape_check(record)
+    try:
+        gradcheck.run()
+    finally:
+        hooks.set_tape_check(previous)
+    assert not ops - ran, f"ops whose backward no case runs: {sorted(ops - ran)}"
 
 
 def test_unknown_case_raises():

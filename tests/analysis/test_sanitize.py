@@ -129,6 +129,19 @@ def test_tape_sanitizer_catches_backward_nan():
             loss.backward()
 
 
+def test_tape_sanitizer_flags_the_non_finite_weight():
+    model = nn.Linear(3, 2, rng=np.random.default_rng(0))
+    assert dict(model.named_parameters())["weight"].name == "weight"
+    model.weight.data[0, 1] = np.nan
+    x = Tensor(np.ones((1, 3), dtype=np.float32), requires_grad=True)
+    with sanitize.sanitized("nan"):
+        with pytest.raises(SanitizeError) as excinfo:
+            model(x)
+    message = str(excinfo.value)
+    assert "__matmul__" in message
+    assert "; parameters in op: weight <-- non-finite data" in message
+
+
 def test_tape_disabled_lets_nan_flow():
     x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
     out = Exploding()(x)

@@ -103,7 +103,7 @@ def test_eval_batchnorm_records_one_tape_node():
         frozen_out = layer(x)
     assert frozen_out._parents == (x,)
     # Thawed between forward and backward: the parameters stay constants
-    # of this node, as they were of the Tensor-op chain.
+    # of this node, by the forward-time rule every op follows.
     frozen_out.backward(np.ones(frozen_out.shape))
     assert layer.gamma.grad is None and layer.beta.grad is None
     assert x.grad is not None

@@ -36,7 +36,8 @@ def test_outputs_have_no_grad_and_no_parents():
     x = leaf()
     layer = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
     with no_grad():
-        outs = [layer(x), x * 2.0 + 1.0, F.max_pool2d(x, 2), x.sum()]
+        outs = [layer(x), x * 2.0 + 1.0, F.max_pool2d(x, 2), x.sum(),
+                x.clone()]
     for out in outs:
         assert out.requires_grad is False
         assert out._parents == ()
@@ -85,6 +86,13 @@ def test_tape_sanitizer_still_fires_inside_no_grad(monkeypatch):
     with no_grad(), np.errstate(divide="ignore"):
         with pytest.raises(SanitizeError, match="__truediv__"):
             x / Tensor(np.zeros(3, dtype=np.float32))
+
+
+def test_clone_is_seen_by_the_tape_sanitizer():
+    x = Tensor(np.array([1.0, np.nan], dtype=np.float32), requires_grad=True)
+    with sanitize.sanitized("nan"):
+        with pytest.raises(SanitizeError, match="Tensor.clone"):
+            x.clone()
 
 
 def small_net():
@@ -144,3 +152,20 @@ def test_frozen_does_not_stamp_parameter_names():
     dict(net.named_parameters())
     assert [p.name for p in params] == [
         "layer0.weight", "layer0.bias", "layer1.gamma", "layer1.beta"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
+    lambda: Linear(5, 3, rng=np.random.default_rng(0)),
+    lambda: BatchNorm2d(2).eval(),
+], ids=["Conv2d", "Linear", "BatchNorm2d-eval"])
+def test_parameters_frozen_for_the_forward_get_no_gradient(make):
+    # Thawed between forward and backward: every op decides at forward
+    # time which inputs get a gradient, so the parameters stay constants.
+    layer = make()
+    x = leaf()
+    with layer.frozen():
+        out = layer(x)
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert x.grad is not None
+    assert all(p.grad is None for p in layer.parameters())
