@@ -15,9 +15,11 @@ makes them machine-checked:
   detector for optimizer scratch buffers;
 * :mod:`~repro.analysis.gradcheck` — sampled central-difference gradient
   checks for every layer and loss (``analyze gradcheck``);
-* :mod:`~repro.analysis.determinism` — re-executes sampled cells and diffs
-  content-addressed fingerprints, reporting the first divergence
-  (``analyze audit``).
+* :mod:`~repro.analysis.determinism` — content-addressed fingerprints, the
+  first divergence between two results, and the in-process cells;
+* :mod:`~repro.analysis.golden` — the one determinism oracle: every
+  deterministic paper output, and each cell run twice, against
+  ``tests/golden/paper_outputs.json`` (``analyze golden``).
 """
 
 from .lint import (LintConfig, Rule, RULES, Violation, lint_paths,

@@ -6,7 +6,6 @@
     python -m repro.analysis lint --select R003 src      # one rule
     python -m repro.analysis gradcheck                   # all layers/losses
     python -m repro.analysis gradcheck --case conv2d --k 8
-    python -m repro.analysis audit --runs 3              # determinism audit
     python -m repro.analysis golden [--write]            # golden outputs
     python -m repro.analysis envdoc --check README.md    # env table in sync?
     python -m repro.analysis envdoc --write README.md    # regenerate it
@@ -14,8 +13,8 @@
 Also reachable as ``python -m repro.cli analyze <verb>`` (the CI entry
 point).  Every verb but ``golden`` supports ``--json``; exit status is
 non-zero when the verb found a problem (violations, a failed gradient
-check, a nondeterministic cell, a moved golden entry or broken shape
-predicate, or a stale env table).
+check, a moved golden entry, a cell whose two runs differ or a broken
+shape predicate, or a stale env table).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
-from . import determinism, golden, gradcheck
+from . import golden, gradcheck
 from .lint import LintConfig, RULES, lint_paths
 from ..runtime import env
 
@@ -59,16 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--json", action="store_true", dest="as_json")
 
-    audit = sub.add_parser("audit", help="re-execute cells, diff fingerprints")
-    audit.add_argument("--runs", type=int, default=2)
-    audit.add_argument("--json", action="store_true", dest="as_json")
-
     gold = sub.add_parser(
         "golden", help="rerun every deterministic paper output (result "
-                       "cache off) and compare it with the golden file")
+                       "cache off; in-process cells twice) and compare it "
+                       "with the golden file")
     gold.add_argument("--write", action="store_true",
                       help="re-record the golden file and EXPERIMENTS.md "
-                           "Results (refused if a shape predicate fails)")
+                           "Results (refused if a shape predicate fails "
+                           "or a cell's two runs differ)")
 
     envdoc = sub.add_parser(
         "envdoc", help="render / sync the REPRO_* env-var table")
@@ -131,27 +128,9 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    reports = determinism.audit_cells(determinism.default_cells(),
-                                      runs=args.runs)
-    broken = [r for r in reports if not r.deterministic]
-    if args.as_json:
-        print(json.dumps({"reports": [r.to_json() for r in reports],
-                          "nondeterministic": len(broken)}, indent=2))
-    else:
-        for r in reports:
-            if r.deterministic:
-                print(f"ok   {r.name:26s} fingerprint {r.fingerprints[0]}")
-            else:
-                print(f"FAIL {r.name:26s} first divergence: {r.divergence}")
-        print(f"{len(reports) - len(broken)}/{len(reports)} cells "
-              "deterministic")
-    return 1 if broken else 0
-
-
 def _cmd_golden(args: argparse.Namespace) -> int:
     env.RESULT_CACHE.set(0)
-    recorded, fresh, moved, broken = golden.load(), {}, 0, []
+    recorded, fresh, moved, diverged, broken = golden.load(), {}, 0, 0, []
     for name, entry, failed in golden.rerun():
         broken += failed
         if entry is None:
@@ -160,16 +139,19 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         fresh[name] = entry
         state = golden.status(recorded.get(name), entry)
         moved += state != golden.OK
-        print(f"{state:26s} {name}", flush=True)
+        diverged += state == golden.NONDETERMINISTIC
+        paths = golden.moved(recorded.get(name), entry)
+        print(f"{state:26s} {name}"
+              + (": " + ", ".join(paths) if paths else ""), flush=True)
     for claim in broken:
         print(f"SHAPE FAIL {claim}")
     print(f"{len(fresh) - moved}/{len(fresh)} entries ok, "
           f"{len(broken)} shape predicate(s) broken")
     if not args.write:
         return 1 if moved or broken else 0
-    if broken:
-        print("refusing to record results that break the paper's shape",
-              file=sys.stderr)
+    if broken or diverged:
+        print("refusing to record results that break the paper's shape "
+              "or differ between two runs", file=sys.stderr)
         return 1
     with open(golden.GOLDEN_PATH, "w", encoding="utf-8") as handle:
         handle.write(golden.dumps(fresh))
@@ -221,8 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_lint(args)
     if args.verb == "gradcheck":
         return _cmd_gradcheck(args)
-    if args.verb == "audit":
-        return _cmd_audit(args)
     if args.verb == "golden":
         return _cmd_golden(args)
     return _cmd_envdoc(args)

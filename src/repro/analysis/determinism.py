@@ -1,55 +1,29 @@
-"""Determinism auditor: re-execute sampled cells, diff content fingerprints.
+"""Determinism oracle: content fingerprints, first divergences, and the
+in-process cells the golden record runs twice.
 
 The result cache (:mod:`repro.runtime.cache`) serves a cell's *first* result
 forever, so a nondeterministic cell is worse than a slow one — reruns
 silently disagree with the cached value and every downstream table inherits
-whichever execution happened first.  The auditor makes that failure loud:
-it executes a cell ``runs`` times in-process, content-addresses each result
-with the same SHA-256 fingerprinting the cache uses, and on mismatch walks
-both result structures to report the *first divergence* (which key, which
-array, how far apart).
+whichever execution happened first.  :func:`result_fingerprint`
+content-addresses a result with the same SHA-256 fingerprinting the cache
+uses, and :func:`first_divergence` walks two results to report where they
+first differ (which key, field or index; for arrays, how far apart).
 
-Cells here are plain zero-argument callables returning nested
+:data:`CELLS` holds plain zero-argument callables returning nested
 dict/list/scalar/ndarray structures — the same shape grid cells return.
-:func:`default_cells` samples the repo's deterministic-by-contract
-surfaces: scene rendering, sensor-fault application, and a white-box attack
-on an untrained model.  ``python -m repro.analysis audit`` runs them.
+``python -m repro.cli analyze golden`` runs each of them twice in process,
+fails on a divergence between the two runs, and compares the result with
+its entry in ``tests/golden/paper_outputs.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import fields, is_dataclass
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from ..runtime.cache import array_fingerprint, fingerprint
-
-
-@dataclass
-class AuditCell:
-    """One auditable unit of work: a name and a re-executable callable."""
-
-    name: str
-    fn: Callable[[], Any]
-
-
-@dataclass
-class AuditReport:
-    """Outcome of auditing one cell across ``runs`` executions."""
-
-    name: str
-    fingerprints: List[str] = field(default_factory=list)
-    divergence: Optional[str] = None    # first-divergence path, or None
-
-    @property
-    def deterministic(self) -> bool:
-        return len(set(self.fingerprints)) <= 1
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "fingerprints": self.fingerprints,
-                "deterministic": self.deterministic,
-                "divergence": self.divergence}
 
 
 def result_fingerprint(value: Any) -> str:
@@ -57,10 +31,24 @@ def result_fingerprint(value: Any) -> str:
 
     Arrays hash through :func:`repro.runtime.cache.array_fingerprint`
     (dtype + shape + bytes), dataclasses field by field, everything else
-    through the cache's canonical JSON fingerprint — so the auditor detects
-    exactly the divergences the result cache would conflate.
+    through the cache's canonical JSON fingerprint — so the golden check
+    detects exactly the divergences the result cache would conflate.
     """
     return fingerprint({"result": _canonical(value)})
+
+
+def row_digests(value: Any) -> Dict[str, str]:
+    """A short fingerprint of each depth-1 node of ``value``, by path:
+    ``$.key`` for a dict key or dataclass field, ``$[i]`` for a list item."""
+    tree = _canonical(value)
+    if isinstance(tree, dict):
+        nodes = {f"$.{key}": node for key, node in tree.items()}
+    elif isinstance(tree, list):
+        nodes = {f"$[{i}]": node for i, node in enumerate(tree)}
+    else:
+        return {}
+    return {path: fingerprint({"result": node})[:8]
+            for path, node in nodes.items()}
 
 
 def _canonical(value: Any) -> Any:
@@ -97,6 +85,9 @@ def first_divergence(a: Any, b: Any, path: str = "$") -> Optional[str]:
         return None
     if type(a) is not type(b):
         return f"{path}: type {type(a).__name__} vs {type(b).__name__}"
+    if is_dataclass(a) and not isinstance(a, type):
+        a = {f.name: getattr(a, f.name) for f in fields(a)}
+        b = {f.name: getattr(b, f.name) for f in fields(b)}
     if isinstance(a, dict):
         if sorted(map(str, a)) != sorted(map(str, b)):
             return f"{path}: key sets differ"
@@ -113,43 +104,22 @@ def first_divergence(a: Any, b: Any, path: str = "$") -> Optional[str]:
             if found is not None:
                 return found
         return None
-    if a != b:
+    # Scalars compare as the fingerprint sees them: NaN equals NaN, and
+    # -0.0 differs from 0.0.
+    if fingerprint({"v": a}) != fingerprint({"v": b}):
         return f"{path}: {a!r} vs {b!r}"
     return None
 
 
-def audit_cells(cells: Sequence[AuditCell], runs: int = 2
-                ) -> List[AuditReport]:
-    """Execute each cell ``runs`` times and report fingerprint agreement."""
-    if runs < 2:
-        raise ValueError("auditing needs at least 2 runs to compare")
-    reports: List[AuditReport] = []
-    for cell in cells:
-        results = [cell.fn() for _ in range(runs)]
-        report = AuditReport(
-            name=cell.name,
-            fingerprints=[result_fingerprint(r) for r in results])
-        if not report.deterministic:
-            baseline = results[0]
-            for candidate in results[1:]:
-                report.divergence = first_divergence(baseline, candidate)
-                if report.divergence is not None:
-                    break
-            if report.divergence is None:
-                report.divergence = "$: results differ (unlocated)"
-        reports.append(report)
-    return reports
-
-
 # ---------------------------------------------------------------------------
-# Default audit set — cheap cells over deterministic-by-contract surfaces.
+# Audit cells — cheap cells over deterministic-by-contract surfaces.
 # ---------------------------------------------------------------------------
 
 def _sign_scene_cell() -> Dict[str, Any]:
     from ..data.signs import render_scene
     scene = render_scene(np.random.default_rng(0))
     return {"image": scene.image,
-            "boxes": [list(map(float, box)) for box in scene.boxes]}
+            "boxes": np.asarray(scene.boxes, dtype=np.float64)}
 
 
 def _driving_frame_cell() -> Dict[str, Any]:
@@ -178,14 +148,6 @@ def _attack_cell() -> Dict[str, Any]:
     adversarial = FGSMAttack(eps=0.03).perturb(batch, loss_fn)
     return {"adversarial": adversarial,
             "prediction": model.predict(adversarial)}
-
-
-def default_cells() -> List[AuditCell]:
-    """The sampled cells ``python -m repro.analysis audit`` re-executes."""
-    return [AuditCell("data.sign_scene", _sign_scene_cell),
-            AuditCell("data.driving_frame", _driving_frame_cell),
-            AuditCell("faults.sensor", _sensor_fault_cell),
-            AuditCell("attacks.fgsm_regressor", _attack_cell)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +235,23 @@ def _grid_diffusion_cell() -> Dict[str, Any]:
                 purified_mean=float(purified.mean(dtype=np.float64)))
 
 
-def grid_slice_cells() -> List[AuditCell]:
-    """One Table II cell per defense family, re-executable end to end.
-
-    Where :func:`default_cells` samples isolated primitives, this slice
-    covers the composed grid pipeline the experiment tables are built from:
-    attack generation, defense purification (input-transform, retrained
-    model transfer, contrastive pretraining, diffusion restoration) and
-    detection matching, all with pinned seeds.  Each cell also returns one
-    continuous value of what it computed (the detector's mean raw head
-    output, the contrastive loss, the mean purified frame), so its
-    fingerprint sees numerics below a flipped detection.
-    """
-    return [AuditCell("table2.image_processing", _grid_image_processing_cell),
-            AuditCell("table2.adversarial_training",
-                      _grid_adversarial_training_cell),
-            AuditCell("table2.contrastive", _grid_contrastive_cell),
-            AuditCell("table2.diffusion", _grid_diffusion_cell)]
+#: Every in-process cell, by golden entry name.  The ``grid_slice.*``
+#: cells are one Table II cell per defense family: attack generation,
+#: defense purification (input transform, retrained-model transfer,
+#: contrastive pretraining, diffusion restoration) and detection matching,
+#: all with pinned seeds.  Each also returns one continuous value of what it
+#: computed (the detector's mean raw head output, the contrastive loss, the
+#: mean purified frame), so its fingerprint sees numerics below a flipped
+#: detection.  The ``audit.*`` cells sample isolated primitives: scene
+#: rendering, sensor-fault application and a white-box attack on an
+#: untrained model.
+CELLS: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "grid_slice.table2.image_processing": _grid_image_processing_cell,
+    "grid_slice.table2.adversarial_training": _grid_adversarial_training_cell,
+    "grid_slice.table2.contrastive": _grid_contrastive_cell,
+    "grid_slice.table2.diffusion": _grid_diffusion_cell,
+    "audit.data.sign_scene": _sign_scene_cell,
+    "audit.data.driving_frame": _driving_frame_cell,
+    "audit.faults.sensor": _sensor_fault_cell,
+    "audit.attacks.fgsm_regressor": _attack_cell,
+}

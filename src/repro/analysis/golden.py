@@ -1,15 +1,19 @@
-"""Golden outputs: the committed record of the paper's deterministic results.
+"""Golden outputs: the repo's one record of its deterministic results.
 
 ``tests/golden/paper_outputs.json`` holds one entry per experiment of
 :data:`RECORDED`, run exactly as ``python -m repro <name>`` runs it at its
-defaults (through the CLI's experiment registry), and one per grid-slice
-cell of :mod:`repro.analysis.determinism`.  Each entry records the
-arguments it ran with, ``bits`` (the result's content fingerprint) and
+defaults (through the CLI's experiment registry), and one per in-process
+cell of :data:`repro.analysis.determinism.CELLS`.  Each entry records the
+arguments it ran with, ``bits`` (the result's content fingerprint),
+``rows`` (a short digest of each top-level row, key or field, by path) and
 ``printed`` (its rendered table, one string per line).  :func:`status`
 classifies a rerun as ``ok``, ``bits moved / printed holds`` (numerics
-changed below the printed precision) or ``printed moved``.  Wall-clock
-values (``overhead``, the DiffPIR-steps ms/frame) are in neither level;
-only the paper-shape predicates of :data:`SHAPES` see them.
+changed below the printed precision) or ``printed moved``, and
+:func:`moved` names the rows that changed.  A cell runs twice; if the two
+runs differ it is ``nondeterministic`` and :func:`moved` names the first
+divergence instead.  Wall-clock values (``overhead``, the DiffPIR-steps
+ms/frame) are in no level; only the paper-shape predicates of
+:data:`SHAPES` see them.
 """
 
 from __future__ import annotations
@@ -35,35 +39,44 @@ RECORDED = ("table1", "fig2", "table2", "table3", "table4", "table5",
             "ablations", "extensions", "fault_matrix", "serve_bench")
 #: CLI experiments whose every value is wall clock: predicates only.
 TIMED = ("overhead",)
-GRID_SLICE = "grid_slice."
 
 OK = "ok"
 BITS_MOVED = "bits moved / printed holds"
 PRINTED_MOVED = "printed moved"
-
-
-def _grid_slice() -> Dict[str, determinism.AuditCell]:
-    return {GRID_SLICE + cell.name: cell
-            for cell in determinism.grid_slice_cells()}
+NONDETERMINISTIC = "nondeterministic"
 
 
 def entry_names() -> List[str]:
     """Every recorded entry, in file order."""
-    return list(RECORDED) + list(_grid_slice())
+    return list(RECORDED) + list(determinism.CELLS)
 
 
 def _entry(args: Dict[str, Any], result: Any, printed: str) -> Dict[str, Any]:
     return {"args": args, "bits": determinism.result_fingerprint(result),
+            "rows": determinism.row_digests(result),
             "printed": printed.splitlines()}
 
 
+def _printed(value: Any) -> str:
+    """A cell value at the tables' precision (2 decimals); an array as its
+    shape and mean."""
+    if isinstance(value, np.ndarray):
+        return ("x".join(map(str, value.shape))
+                + f" mean {value.mean(dtype=np.float64):.2f}")
+    return ", ".join(f"{v:.2f}" for v in np.atleast_1d(value))
+
+
 def _run(name: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:
-    if name.startswith(GRID_SLICE):
-        result = _grid_slice()[name].fn()
-        # Metrics at the tables' precision (2 decimals).
-        return _entry({}, result, "\n".join(
-            f"{key}: " + ", ".join(f"{v:.2f}" for v in np.atleast_1d(value))
-            for key, value in sorted(result.items()))), []
+    if name in determinism.CELLS:
+        cell = determinism.CELLS[name]
+        result, again = cell(), cell()
+        entry = _entry({}, result, "\n".join(
+            f"{key}: {_printed(value)}"
+            for key, value in sorted(result.items())))
+        if determinism.result_fingerprint(again) != entry["bits"]:
+            entry["diverged"] = (determinism.first_divergence(result, again)
+                                 or "$: results differ (unlocated)")
+        return entry, []
     from ..cli import EXPERIMENTS, build_parser
     experiment = EXPERIMENTS[name]
     args = experiment.kwargs(build_parser().parse_args([name]))
@@ -83,15 +96,31 @@ def rerun(names: Optional[Sequence[str]] = None
           ) -> Iterator[Tuple[str, Optional[Dict[str, Any]], List[str]]]:
     """Recompute ``names`` (default: every entry, then :data:`TIMED`) in
     process, yielding ``(name, entry or None if timed, broken claims)``.
-    The caller turns the result cache off."""
+    A cell's entry carries ``diverged`` when its two runs differ.  The
+    caller turns the result cache off."""
     for name in (entry_names() + list(TIMED) if names is None else names):
         yield (name, *_run(name))
 
 
 def status(recorded: Optional[Dict[str, Any]], fresh: Dict[str, Any]) -> str:
+    if "diverged" in fresh:
+        return NONDETERMINISTIC
     if recorded is None or recorded["printed"] != fresh["printed"]:
         return PRINTED_MOVED
     return OK if recorded["bits"] == fresh["bits"] else BITS_MOVED
+
+
+def moved(recorded: Optional[Dict[str, Any]],
+          fresh: Dict[str, Any]) -> List[str]:
+    """The paths of the rows whose digest moved (a nondeterministic cell:
+    where its two runs first diverge)."""
+    if "diverged" in fresh:
+        return [fresh["diverged"]]
+    if recorded is None:
+        return []
+    old, new = recorded["rows"], fresh["rows"]
+    return ([path for path, digest in new.items() if old.get(path) != digest]
+            + [path for path in old if path not in new])
 
 
 def load() -> Dict[str, Dict[str, Any]]:

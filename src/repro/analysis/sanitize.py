@@ -20,7 +20,7 @@ Enabled with ``REPRO_SANITIZE=<modes>`` (comma-separated) or explicitly via
   corrupt parameters — exactly the bug class this guards.
 
 The offline harnesses (:mod:`repro.analysis.gradcheck`,
-:mod:`repro.analysis.determinism`) are not modes: they run through
+:mod:`repro.analysis.golden`) are not modes: they run through
 ``python -m repro.cli analyze`` and install no process hooks.
 
 The hooks live in :mod:`repro.nn.hooks` so ``repro.nn`` never has to

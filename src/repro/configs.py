@@ -68,10 +68,6 @@ DIFFPIR_SIGNS = {"t_start": 15, "n_steps": 5, "sigma_n": 0.12, "zeta": 0.0}
 DIFFPIR_DRIVING = {"t_start": 30, "n_steps": 10, "sigma_n": 0.20,
                    "zeta": 0.4}
 
-# Back-compat aliases (sign-domain values).
-DIFFUSION_T_START = DIFFPIR_SIGNS["t_start"]
-DIFFUSION_STEPS = DIFFPIR_SIGNS["n_steps"]
-
 
 def make_detection_attack(name: str) -> Attack:
     """Instantiate a detection attack by its table row name."""

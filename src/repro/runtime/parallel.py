@@ -58,7 +58,6 @@ logger = logging.getLogger(__name__)
 
 from . import env as _env  # noqa: E402 - registry import after typing setup
 
-DEFAULT_MAX_RETRIES = _env.MAX_RETRIES.default
 _POLL_S = 0.05
 
 

@@ -1,13 +1,13 @@
-"""Determinism auditor tests: fingerprint agreement, first-divergence
-reporting, and catching an injected unseeded-RNG regression."""
+"""Determinism oracle tests: fingerprint agreement and first-divergence
+reporting, through dicts, lists, arrays and dataclasses."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import determinism
-from repro.analysis.determinism import (AuditCell, audit_cells,
-                                        first_divergence, result_fingerprint)
-from repro.analysis.cli import main as analysis_main
+from repro.analysis.determinism import first_divergence, result_fingerprint
+from repro.eval.harness import DistanceEvaluation
+from repro.eval.regression_metrics import RANGES, RangeErrors
+from repro.experiments.table2 import Table2Row
 
 pytestmark = pytest.mark.analysis
 
@@ -45,44 +45,39 @@ def test_first_divergence_reports_meta_and_keys():
     assert first_divergence({"a": np.ones(2)}, {"a": np.ones(2)}) is None
 
 
-# ---------------------------------------------------------------------------
-# Auditing
-# ---------------------------------------------------------------------------
+def test_first_divergence_sees_scalars_as_the_fingerprint_does():
+    nan = float("nan")
+    assert first_divergence({"a": nan, "b": 1}, {"a": nan, "b": 2}) == \
+        "$.b: 1 vs 2"
+    assert result_fingerprint(0.0) != result_fingerprint(-0.0)
+    assert first_divergence({"a": 0.0}, {"a": -0.0}) == "$.a: 0.0 vs -0.0"
+
+
+def _row(near_error):
+    errors = dict(zip(RANGES, (near_error, 2.0, 3.0, 4.0)))
+    return Table2Row("FGSM", "None", RangeErrors(errors, {}), None)
+
+
+def test_first_divergence_walks_dataclass_fields():
+    where = first_divergence([_row(1.0)], [_row(1.5)])
+    assert where.startswith("$[0].range_errors.errors"), where
+    assert "1.0 vs 1.5" in where
+    assert first_divergence([_row(1.0)], [_row(1.0)]) is None
+
+
+def test_first_divergence_walks_dataclass_array_fields():
+    def evaluation(last):
+        predictions = np.array([10.0, 20.0, last])
+        return DistanceEvaluation(_row(1.0).range_errors, predictions,
+                                  predictions.copy(), predictions.copy())
+    where = first_divergence(evaluation(30.0), evaluation(30.5))
+    assert where.startswith("$.attacked_predictions: array content"), where
+    assert "(2,)" in where
+
 
 def test_deterministic_cell_passes():
-    cell = AuditCell("seeded", lambda: {
-        "draw": np.random.default_rng(7).normal(size=8)})
-    (report,) = audit_cells([cell], runs=3)
-    assert report.deterministic
-    assert len(set(report.fingerprints)) == 1
-    assert report.divergence is None
-
-
-def test_injected_unseeded_rng_cell_is_caught():
-    # The regression class the auditor exists for: someone drops the seed
-    # and every rerun silently disagrees with the cached result.
-    state = np.random.default_rng()          # repro: noqa[R001] -- deliberate nondeterminism under test
-    cell = AuditCell("unseeded", lambda: {
-        "draw": state.normal(size=8), "count": 8})
-    (report,) = audit_cells([cell], runs=2)
-    assert not report.deterministic
-    assert report.divergence is not None
-    assert "$.draw" in report.divergence      # located, not just detected
-
-
-def test_audit_requires_two_runs():
-    with pytest.raises(ValueError):
-        audit_cells([], runs=1)
-
-
-def test_default_cells_are_deterministic():
-    reports = audit_cells(determinism.default_cells(), runs=2)
-    assert len(reports) == 4
-    broken = [r.name for r in reports if not r.deterministic]
-    assert not broken, f"nondeterministic cells: {broken}"
-
-
-def test_cli_audit(capsys):
-    assert analysis_main(["audit"]) == 0
-    out = capsys.readouterr().out
-    assert "4/4 cells deterministic" in out
+    def cell():
+        return {"draw": np.random.default_rng(7).normal(size=8)}
+    results = [cell() for _ in range(3)]
+    assert len({result_fingerprint(r) for r in results}) == 1
+    assert first_divergence(results[0], results[2]) is None

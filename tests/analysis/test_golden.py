@@ -1,12 +1,13 @@
-"""Golden outputs without running a full experiment: the grid-slice entries,
-the bits/printed split, EXPERIMENTS.md rendering, and every shape predicate
-on a paper-like and a doctored result."""
+"""Golden outputs without running a full experiment: the in-process cell
+entries (run twice), the bits/rows/printed split, EXPERIMENTS.md rendering,
+and every shape predicate on a paper-like and a doctored result."""
 
 import numpy as np
 import pytest
 
 from repro import defenses
-from repro.analysis import golden
+from repro.analysis import determinism, golden
+from repro.analysis.cli import main as analysis_main
 from repro.eval.detection_metrics import DetectionMetrics
 from repro.eval.regression_metrics import RANGES, RangeErrors
 from repro.experiments.ablations import (DiffusionStepsRow, PatchSizeRow,
@@ -18,17 +19,36 @@ from repro.experiments.table4 import SOURCES, Table4Row
 from repro.experiments.table5 import Table5Row
 from repro.models import detector
 from repro.pipeline.simulator import SimulationResult
+from repro.runtime import env
 
 pytestmark = pytest.mark.analysis
 
-GRID_SLICE = [name for name in golden.entry_names()
-              if name.startswith(golden.GRID_SLICE)]
+GRID_SLICE = [name for name in determinism.CELLS
+              if name.startswith("grid_slice.")]
 
 
-def test_grid_slice_entries_match_the_golden_file():
+def test_cell_entries_rerun_identically_and_match_the_golden_file():
+    assert len(determinism.CELLS) == 8
     recorded = golden.load()
-    for name, entry, _ in golden.rerun(GRID_SLICE):
+    for name, entry, _ in golden.rerun(list(determinism.CELLS)):
         assert golden.status(recorded.get(name), entry) == golden.OK, name
+        assert golden.moved(recorded[name], entry) == [], name
+
+
+def test_unseeded_rng_cell_fails_the_check_with_its_divergence(monkeypatch,
+                                                               capsys):
+    # The regression class the twice-run exists for: someone drops the seed
+    # and every rerun silently disagrees with the cached result.
+    state = np.random.default_rng()          # repro: noqa[R001] -- deliberate nondeterminism under test
+    monkeypatch.setattr(determinism, "CELLS", {"audit.unseeded": lambda: {
+        "draw": state.normal(size=8), "count": 8}})
+    monkeypatch.setattr(golden, "RECORDED", ())
+    monkeypatch.setattr(golden, "TIMED", ())
+    # The check turns the result cache off; teardown restores the setting.
+    monkeypatch.setenv(env.RESULT_CACHE.name, "1")
+    assert analysis_main(["golden"]) == 1
+    out = capsys.readouterr().out
+    assert f"{golden.NONDETERMINISTIC:26s} audit.unseeded: $.draw" in out
 
 
 def _nudged(cls):
@@ -44,15 +64,23 @@ def _nudged(cls):
 
 def test_one_ulp_conv_weight_moves_bits_not_printed(monkeypatch):
     """Every grid-slice cell sees a 1-ulp change of a detector weight (of
-    the diffusion prior, for the diffusion cell) in its bits alone."""
+    the diffusion prior, for the diffusion cell) in its bits alone, and the
+    check names the one continuous value that moved."""
     monkeypatch.setattr(detector, "TinyDetector",
                         _nudged(detector.TinyDetector))
     monkeypatch.setattr(defenses, "DenoisingDiffusionModel",
                         _nudged(defenses.DenoisingDiffusionModel))
     recorded = golden.load()
-    statuses = {name: golden.status(recorded[name], entry)
-                for name, entry, _ in golden.rerun(GRID_SLICE)}
-    assert statuses == {name: golden.BITS_MOVED for name in GRID_SLICE}
+    fresh = {name: entry for name, entry, _ in golden.rerun(GRID_SLICE)}
+    assert {name: golden.status(recorded[name], entry)
+            for name, entry in fresh.items()} == {
+        name: golden.BITS_MOVED for name in GRID_SLICE}
+    assert {name: golden.moved(recorded[name], entry)
+            for name, entry in fresh.items()} == {
+        "grid_slice.table2.image_processing": ["$.head_mean"],
+        "grid_slice.table2.adversarial_training": ["$.head_mean"],
+        "grid_slice.table2.contrastive": ["$.pretrain_loss"],
+        "grid_slice.table2.diffusion": ["$.purified_mean"]}
 
 
 def test_golden_file_records_every_entry_and_rewrites_byte_identically():

@@ -61,7 +61,7 @@ def test_enabled_modes_rejects_unknown(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["grad", "determinism"])
 def test_offline_harness_names_are_not_modes(monkeypatch, mode):
-    # gradcheck and the determinism auditor install no process hooks, so
+    # gradcheck and the golden determinism check install no process hooks, so
     # naming them in REPRO_SANITIZE must fail loudly, not pass as inert.
     monkeypatch.setenv("REPRO_SANITIZE", mode)
     with pytest.raises(ValueError, match=f"unknown sanitizer.*{mode}"):

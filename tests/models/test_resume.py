@@ -149,11 +149,12 @@ class TestRegressorResume:
 
 @pytest.mark.analysis
 class TestResumeUnderDeterminismAuditor:
-    """The PR-3 determinism auditor verifies the resume contract itself."""
+    """The determinism oracle's fingerprints verify the resume contract."""
 
     def test_killed_and_resumed_training_audits_deterministic(
             self, regressor_data, tmp_path):
-        from repro.analysis import determinism
+        from repro.analysis.determinism import (first_divergence,
+                                                result_fingerprint)
 
         images, distances = regressor_data
         uninterrupted = _train_regressor(images, distances)[0].state_dict()
@@ -169,9 +170,7 @@ class TestResumeUnderDeterminismAuditor:
             model, _ = _train_regressor(images, distances, checkpoint=ckpt)
             return model.state_dict()
 
-        cell = determinism.AuditCell("train.kill_resume",
-                                     killed_resumed_training)
-        (report,) = determinism.audit_cells([cell], runs=2)
-        assert report.deterministic, report.divergence
-        assert (report.fingerprints[0]
-                == determinism.result_fingerprint(uninterrupted))
+        first, second = killed_resumed_training(), killed_resumed_training()
+        assert (result_fingerprint(first) == result_fingerprint(second)
+                == result_fingerprint(uninterrupted)), \
+            first_divergence(first, second)

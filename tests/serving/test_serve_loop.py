@@ -68,6 +68,8 @@ class TestCoverage:
         assert summary["hangs"] >= 1
         scorer_faults = sum(1 for t in report.ticks if t.scorer_fault)
         assert scorer_faults == 1
+        # the crash-looping replica tripped its circuit breaker
+        assert summary["breaker_trips"] >= 1
 
 
 class TestDeterminism:

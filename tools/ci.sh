@@ -6,7 +6,7 @@
 #   tools/ci.sh analyze  # static lint + golden outputs + analysis tier +
 #                        # sanitized smoke run
 #   tools/ci.sh resume   # kill a journaled run mid-grid, resume, diff tables
-#   tools/ci.sh serve    # chaos serve drill + serving lint + serving suite
+#   tools/ci.sh serve    # serving lint + serve verb + serving suite
 #
 # Tier 1 (smoke): fast confidence check — see tools/smoke.sh.
 # Tier 2 (faults): the fault-injection robustness suite (pytest -m faults):
@@ -18,22 +18,23 @@
 #   need the benchmark's trained zoo skip when it is absent.
 # Analyze tier (opt-in): the repro.analysis toolchain — AST lint over
 #   src/repro, tests, tools and examples (intentionally-broken lint fixtures
-#   excluded), the env-var table drift check, the in-process determinism
-#   audit, the golden-output check (every deterministic paper output rerun
-#   with the result cache off and compared with tests/golden/
-#   paper_outputs.json, plus the paper-shape predicates), the analysis test
-#   suite (lint rules, gradcheck, determinism audit, golden, sanitizers),
-#   and the smoke tier re-run under live REPRO_SANITIZE=nan,alias hooks.
+#   excluded), the env-var table drift check, the golden-output check (the
+#   repo's one determinism oracle: every deterministic paper output rerun
+#   with the result cache off, each in-process cell twice, and compared
+#   with tests/golden/paper_outputs.json, plus the paper-shape predicates),
+#   the analysis test suite (lint rules, gradcheck, determinism, golden,
+#   sanitizers), and the smoke tier re-run under live
+#   REPRO_SANITIZE=nan,alias hooks.
 # Resume tier (opt-in): crash-consistency end to end — tools/resume_smoke.py
 #   kills a journaled table3 run mid-grid under a fault plan, resumes it via
 #   `repro.cli run --resume`, and asserts the resumed table is bit-identical
 #   to an uninterrupted run.
 # Serve tier (opt-in): the fault-tolerant serving layer — the serving lint
-#   slice, tools/serve_smoke.py (a chaos drill that crash-loops/hangs
-#   replicas and faults the scorer, asserting zero unserved ticks, journaled
-#   breaker trips, and bit-identical serial/forked fingerprints), one short
-#   `repro.cli serve` run on in-process replicas, and the serving test suite
-#   (pytest -m serving).
+#   slice, one short `repro.cli serve` run on in-process replicas, and the
+#   serving test suite (pytest -m serving), whose chaos drill crash-loops
+#   and hangs replicas and faults the scorer, asserting zero unserved
+#   ticks, a breaker trip, journaled breaker events, and bit-identical
+#   repeat and serial/forked fingerprints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
@@ -45,9 +46,6 @@ if [[ "${1:-}" == "analyze" ]]; then
 
     echo "== CI analyze: env-var table drift =="
     python -m repro.cli analyze envdoc --check README.md
-
-    echo "== CI analyze: determinism audit =="
-    python -m repro.cli analyze audit
 
     echo "== CI analyze: golden outputs =="
     python -m repro.cli analyze golden
@@ -69,9 +67,6 @@ fi
 if [[ "${1:-}" == "serve" ]]; then
     echo "== CI serve: serving lint slice =="
     python -m repro.cli analyze lint src/repro/serving
-
-    echo "== CI serve: chaos drill =="
-    python tools/serve_smoke.py
 
     echo "== CI serve: serve verb =="
     python -m repro.cli serve --serial --ticks 40 --out "$(mktemp -d)"
