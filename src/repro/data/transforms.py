@@ -7,12 +7,22 @@ inside the attacked computational graph.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 
 def clip01(image: np.ndarray) -> np.ndarray:
     """Clamp to the valid pixel range."""
     return np.clip(image, 0.0, 1.0).astype(np.float32)
+
+
+def to_chw(image_hwc: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(image_hwc.transpose(2, 0, 1)).astype(np.float32)
+
+
+def to_hwc(image_chw: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(image_chw.transpose(1, 2, 0)).astype(np.float32)
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -33,6 +43,24 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
     bottom = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
     return (top * (1 - wy) + bottom * wy).astype(np.float32)
+
+
+def letterbox(image: np.ndarray, out_h: int, out_w: int,
+              fill: float = 0.5) -> Tuple[np.ndarray, float, Tuple[int, int]]:
+    """Resize preserving aspect ratio and pad to ``(out_h, out_w)``.
+
+    Returns the padded image, the scale factor, and the (top, left) offsets —
+    enough to map boxes between the two coordinate systems.
+    """
+    c, h, w = image.shape
+    scale = min(out_h / h, out_w / w)
+    new_h, new_w = int(round(h * scale)), int(round(w * scale))
+    resized = bilinear_resize(image, new_h, new_w)
+    canvas = np.full((c, out_h, out_w), fill, dtype=np.float32)
+    top = (out_h - new_h) // 2
+    left = (out_w - new_w) // 2
+    canvas[:, top:top + new_h, left:left + new_w] = resized
+    return canvas, scale, (top, left)
 
 
 def horizontal_flip(image: np.ndarray) -> np.ndarray:

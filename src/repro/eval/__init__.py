@@ -1,6 +1,6 @@
 """``repro.eval`` — metrics, the attack/defense grid harness, and reports."""
 
-from . import reporting
+from . import analysis, reporting
 from .detection_metrics import (DetectionMetrics, average_precision,
                                 evaluate_detections, match_detections)
 from .harness import (DistanceEvaluation, attack_driving_frames,
@@ -18,5 +18,5 @@ __all__ = [
     "evaluate_detection", "evaluate_distance", "evaluate_distance_on_video",
     "attack_sign_dataset",
     "attack_driving_frames", "make_balanced_eval_frames",
-    "DistanceEvaluation", "reporting",
+    "DistanceEvaluation", "reporting", "analysis",
 ]

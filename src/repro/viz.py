@@ -1,14 +1,15 @@
-"""Visualization: write rendered scenes as image files.
+"""Visualization: write scenes, attacks, and comparisons as image files.
 
 No plotting dependency is available offline, so images are written as binary
 PPM (P6) — viewable everywhere and trivially convertible.  This is what
-regenerates the paper's Fig. 1 (dataset examples) as actual image files.
+regenerates the paper's Fig. 1 (dataset examples) as actual image files, and
+what the examples use to dump qualitative attack/defense comparisons.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +64,39 @@ def draw_box(image_chw: np.ndarray, box: Tuple[float, float, float, float],
         if 0 <= x2 - t < w:
             out[:, y1:y2 + 1, x2 - t] = col
     return out
+
+
+def hstack_images(images: Sequence[np.ndarray], gap: int = 2,
+                  fill: float = 1.0) -> np.ndarray:
+    """Concatenate CHW images horizontally with a separator gap."""
+    if not images:
+        raise ValueError("need at least one image")
+    height = max(img.shape[1] for img in images)
+    padded: List[np.ndarray] = []
+    for i, img in enumerate(images):
+        c, h, w = img.shape
+        canvas = np.full((c, height, w), fill, dtype=np.float32)
+        canvas[:, :h] = img
+        padded.append(canvas)
+        if i < len(images) - 1:
+            padded.append(np.full((c, height, gap), fill, dtype=np.float32))
+    return np.concatenate(padded, axis=2)
+
+
+def amplify_difference(original: np.ndarray, perturbed: np.ndarray,
+                       scale: float = 5.0) -> np.ndarray:
+    """Visualize a perturbation: 0.5 + scale * delta, clipped."""
+    delta = perturbed.astype(np.float32) - original.astype(np.float32)
+    return np.clip(0.5 + scale * delta, 0.0, 1.0).astype(np.float32)
+
+
+def save_attack_panel(path: str, clean: np.ndarray, adversarial: np.ndarray,
+                      defended: Optional[np.ndarray] = None) -> str:
+    """Write a [clean | adversarial | amplified delta (| defended)] strip."""
+    panels = [clean, adversarial, amplify_difference(clean, adversarial)]
+    if defended is not None:
+        panels.append(defended)
+    return write_ppm(path, hstack_images(panels))
 
 
 def save_dataset_examples(directory: str, seed: int = 0) -> List[str]:

@@ -4,6 +4,7 @@ reporting, through dicts, lists, arrays and dataclasses."""
 import numpy as np
 import pytest
 
+from repro.analysis import determinism, golden
 from repro.analysis.determinism import first_divergence, result_fingerprint
 from repro.eval.harness import DistanceEvaluation
 from repro.eval.regression_metrics import RANGES, RangeErrors
@@ -81,3 +82,27 @@ def test_deterministic_cell_passes():
     results = [cell() for _ in range(3)]
     assert len({result_fingerprint(r) for r in results}) == 1
     assert first_divergence(results[0], results[2]) is None
+
+
+def test_injected_unseeded_rng_cell_is_caught():
+    # The regression class the twice-run exists for: someone drops the seed
+    # and every rerun silently disagrees with the cached result.
+    state = np.random.default_rng()          # repro: noqa[R001] -- deliberate nondeterminism under test
+    def cell():
+        return {"draw": state.normal(size=8), "count": 8}
+    first, second = cell(), cell()
+    assert result_fingerprint(first) != result_fingerprint(second)
+    divergence = first_divergence(first, second)
+    assert divergence is not None
+    assert "$.draw" in divergence             # located, not just detected
+
+
+def test_default_cells_are_deterministic():
+    # The audit.* golden entries: each runs twice and matches its record.
+    names = [name for name in determinism.CELLS if name.startswith("audit.")]
+    assert len(names) == 4
+    recorded = golden.load()
+    broken = [name for name, entry, _ in golden.rerun(names)
+              if golden.status(recorded.get(name), entry) != golden.OK
+              or golden.moved(recorded[name], entry)]
+    assert not broken, f"nondeterministic or moved cells: {broken}"

@@ -1,6 +1,7 @@
 """Image transform unit + property tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,21 @@ class TestResize:
         assert out.max() <= 1.0 + 1e-6
 
 
+class TestLetterbox:
+    def test_pads_to_target(self):
+        rng = np.random.default_rng(0)
+        out, scale, (top, left) = transforms.letterbox(
+            random_image(rng, h=8, w=16), 32, 32)
+        assert out.shape == (3, 32, 32)
+        assert scale == pytest.approx(2.0)
+        assert top == (32 - 16) // 2
+
+    def test_fill_value_used(self):
+        img = np.zeros((3, 8, 16), dtype=np.float32)
+        out, _, (top, _) = transforms.letterbox(img, 32, 32, fill=0.25)
+        assert out[0, 0, 0] == pytest.approx(0.25)
+
+
 class TestAugmentations:
     def test_flip_involution(self):
         rng = np.random.default_rng(0)
@@ -81,3 +97,9 @@ class TestAugmentations:
             out = transforms.simclr_augment(img, rng)
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_chw_hwc_roundtrip(self):
+        rng = np.random.default_rng(5)
+        img = random_image(rng)
+        np.testing.assert_array_equal(
+            transforms.to_chw(transforms.to_hwc(img)), img)

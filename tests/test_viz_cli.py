@@ -1,5 +1,7 @@
 """Visualization helpers and the CLI."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,28 @@ class TestDrawing:
         image = np.zeros((3, 8, 8), dtype=np.float32)
         out = viz.draw_box(image, (-5, -5, 20, 20))
         assert out.shape == image.shape
+
+    def test_hstack_widths_add(self):
+        a, b = rand_image(1, 8, 5), rand_image(2, 8, 7)
+        out = viz.hstack_images([a, b], gap=2)
+        assert out.shape == (3, 8, 5 + 2 + 7)
+
+    def test_hstack_empty_raises(self):
+        with pytest.raises(ValueError):
+            viz.hstack_images([])
+
+    def test_amplify_difference_midgray_when_equal(self):
+        image = rand_image(3)
+        out = viz.amplify_difference(image, image)
+        np.testing.assert_allclose(out, 0.5)
+
+    def test_attack_panel_written(self, tmp_path):
+        clean = rand_image(4, 8, 8)
+        adv = np.clip(clean + 0.05, 0, 1)
+        path = viz.save_attack_panel(str(tmp_path / "panel.ppm"), clean, adv)
+        assert os.path.exists(path)
+        panel = viz.read_ppm(path)
+        assert panel.shape[2] >= 3 * 8  # three stacked panels
 
     def test_dataset_examples(self, tmp_path):
         paths = viz.save_dataset_examples(str(tmp_path))
