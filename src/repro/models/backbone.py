@@ -33,4 +33,4 @@ class Backbone(Module):
 
     def embed(self, x: Tensor) -> Tensor:
         """Global-average-pooled feature vector (N, C) for contrastive use."""
-        return F.global_avg_pool2d(self.forward(x))
+        return F.global_avg_pool2d(self(x))

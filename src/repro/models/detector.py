@@ -78,7 +78,7 @@ class TinyDetector(Module):
         ``targets[i]`` is the list of ground-truth (x1,y1,x2,y2) boxes for
         image ``i``.
         """
-        raw = self.forward(x)
+        raw = self(x)
         n = raw.shape[0]
         s = self.grid
         obj_target = np.zeros((n, 1, s, s), dtype=np.float32)
@@ -123,7 +123,7 @@ class TinyDetector(Module):
         mode the paper measures (recall collapses, precision stays high —
         Fig. 2), as opposed to phantom-spawning which would crater precision.
         """
-        raw = self.forward(x)
+        raw = self(x)
         n, s = raw.shape[0], self.grid
         positive = np.zeros((n, 1, s, s), dtype=np.float32)
         for i, boxes in enumerate(targets):
@@ -172,7 +172,7 @@ class TinyDetector(Module):
         self.eval()
         try:
             with no_grad():
-                raw = self.forward(Tensor(images)).data
+                raw = self(Tensor(images)).data
         finally:
             if was_training:
                 self.train()

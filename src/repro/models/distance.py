@@ -45,7 +45,7 @@ class DistanceRegressor(Module):
         """MSE in normalized-distance space."""
         target = (np.asarray(distances_m, dtype=np.float32)
                   / MAX_DISTANCE).reshape(-1, 1)
-        return losses.mse_loss(self.forward(x), target)
+        return losses.mse_loss(self(x), target)
 
     def attack_loss(self, x: Tensor, true_distances_m: np.ndarray,
                     mode: str = "inflate") -> Tensor:
@@ -58,11 +58,11 @@ class DistanceRegressor(Module):
         (maximize squared error from the truth), kept for ablations.
         """
         if mode == "inflate":
-            return self.forward(x).mean()
+            return self(x).mean()
         if mode == "error":
             target = (np.asarray(true_distances_m, dtype=np.float32)
                       / MAX_DISTANCE).reshape(-1, 1)
-            return losses.mse_loss(self.forward(x), target)
+            return losses.mse_loss(self(x), target)
         raise ValueError(f"unknown attack mode {mode!r}")
 
     def predict(self, images: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ class DistanceRegressor(Module):
         self.eval()
         try:
             with no_grad():
-                out = self.forward(Tensor(images)).data
+                out = self(Tensor(images)).data
         finally:
             if was_training:
                 self.train()

@@ -3,8 +3,10 @@
 The runtime instrumentation layer (:mod:`repro.runtime.instrument`) reads
 these to attribute nn work to experiment grid cells.  A *forward pass* is
 one top-level module invocation (nested submodule calls inside a model do
-not count separately); a *backward pass* is one call to
-:meth:`repro.nn.Tensor.backward`.
+not count separately).  The models' own entry points (``loss``,
+``attack_loss``, ``predict``, ``detect``, ``embed``) call the model through
+``self(...)``, so one model call is one pass.  A *backward pass* is one call
+to :meth:`repro.nn.Tensor.backward`.
 
 Counters are per-process.  The parallel grid executor snapshots them inside
 each worker and ships the deltas back to the parent, so per-cell counts are

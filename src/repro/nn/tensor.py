@@ -9,8 +9,8 @@ tape-based approach.  Every op computes its output and hands it to
 product per parent (``g -> gradient of that parent``).  :func:`_op` is the
 one place that calls the tape sanitizer, honours :func:`no_grad`, keeps the
 parents that require grad and builds the backward that undoes broadcasting
-and accumulates; :meth:`Tensor.backward` topologically sorts the graph and
-runs those backwards.
+and accumulates; :meth:`Tensor.backward` topologically sorts the graph, runs
+those backwards and releases each interior node as soon as its own has run.
 
 Tensors hold ``float32`` numpy arrays by default.  The working precision is
 a process-global knob (:func:`default_dtype` / :func:`precision`): the
@@ -350,10 +350,18 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, releasing the tape.
 
         ``grad`` defaults to ones (so calling ``loss.backward()`` on a scalar
-        loss works as expected).
+        loss works as expected).  The sweep pops nodes off the topological
+        order, and once an op output's backward has run it drops that
+        node's ``grad``, ``_backward`` and ``_parents``.  So each saved
+        activation is freed as soon as its VJP has been used, even while
+        the caller still holds the loss, and only the leaves' grads and
+        this tensor's ``.grad`` survive the sweep.  A sweep that reaches a
+        released op output (``backward()`` twice on one loss, or a second
+        loss that shares a swept subgraph) raises ``RuntimeError``: run the
+        forward again to build a fresh graph.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -364,29 +372,40 @@ class Tensor:
 
         order: list[Tensor] = []
         seen = set()
+        stack = [(self, False)]
+        while stack:
+            current, processed = stack.pop()
+            if processed:
+                order.append(current)
+                continue
+            if id(current) in seen:
+                continue
+            seen.add(id(current))
+            stack.append((current, True))
+            for parent in current._parents:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
+        del seen
 
-        def visit(node: "Tensor") -> None:
-            stack = [(node, False)]
-            while stack:
-                current, processed = stack.pop()
-                if processed:
-                    order.append(current)
-                    continue
-                if id(current) in seen:
-                    continue
-                seen.add(id(current))
-                stack.append((current, True))
-                for parent in current._parents:
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
-
-        visit(self)
         check = hooks.TAPE_CHECK
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                if check is not None:
-                    check("backward", node.grad, node._op, node._parents)
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                # Every op output on the order requires grad and has one by
+                # now, so one without a backward was released by a sweep.
+                if node._op is not None:
+                    raise RuntimeError(
+                        f"backward() reached the output of {node._op}, whose "
+                        "tape an earlier backward() already released; run "
+                        "the forward again")
+                continue  # a leaf: its grad is a result of the sweep
+            if check is not None:
+                check("backward", node.grad, node._op, node._parents)
+            node._backward(node.grad)
+            if node is not self:
+                node.grad = None
+            node._backward = None
+            node._parents = ()
 
 
 def _op(name: str, data: np.ndarray, parents: Tuple[Tensor, ...],

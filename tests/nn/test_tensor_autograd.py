@@ -5,6 +5,8 @@ are the foundation of the whole reproduction: FGSM/Auto-PGD/RP2/CAP are only
 as correct as the input gradients this engine produces.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,65 @@ class TestGraphMechanics:
         t.zero_grad()
         (t * t).backward()
         np.testing.assert_allclose(t.grad, first)
+
+
+@pytest.mark.smoke
+class TestTapeRelease:
+    """backward() frees the tape as it sweeps it, and a second sweep through
+    the freed graph fails instead of silently stopping."""
+
+    @staticmethod
+    def leaves():
+        x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
+        w = Tensor(np.array([0.5, 4.0, -1.5], dtype=np.float32), requires_grad=True)
+        return x, w
+
+    def test_sweep_frees_saved_activation_while_loss_is_held(self):
+        x, w = self.leaves()
+        h = x * w
+        saved = weakref.ref(h.data)  # the VJPs of h * h save h.data
+        loss = (h * h).sum()
+        del h
+        assert saved() is not None  # the graph under loss pins it
+        loss.backward()
+        assert saved() is None  # freed by the sweep, loss still referenced
+        assert loss.grad is not None
+
+    def test_interior_nodes_released_leaf_and_root_grads_kept(self):
+        x, w = self.leaves()
+        h = x * w
+        y = h * h
+        loss = y.sum()
+        loss.backward()
+        for node in (h, y, loss):
+            assert node._backward is None and node._parents == ()
+        assert h.grad is None and y.grad is None
+        np.testing.assert_array_equal(loss.grad, np.float32(1.0))
+        # loss = sum((x w)^2): dx = 2 x w^2, dw = 2 x^2 w
+        np.testing.assert_allclose(x.grad, 2 * x.data * w.data ** 2)
+        np.testing.assert_allclose(w.grad, 2 * x.data ** 2 * w.data)
+
+    @pytest.mark.parametrize("build", [
+        lambda x, w: (x * w).sum(),          # root's parent is interior
+        lambda x, w: x.sum() + w.sum(),      # root's parents reach leaves
+    ], ids=["interior-parent", "leaf-parents"])
+    def test_second_backward_on_one_loss_raises(self, build):
+        x, w = self.leaves()
+        loss = build(x, w)
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match=loss._op + ".*forward again"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, first)  # nothing accumulated
+
+    def test_second_root_through_swept_subgraph_raises(self):
+        x, w = self.leaves()
+        h = x * w
+        a = (h * 2.0).sum()
+        b = (h * 3.0).sum()
+        a.backward()
+        with pytest.raises(RuntimeError, match="Tensor.__mul__.*forward again"):
+            b.backward()
 
 
 class TestFunctionalGradients:
