@@ -450,6 +450,26 @@ def _conv_block_eval():
     return forward, [("x", x)] + _params(block)
 
 
+@case("conv_block_eval_frozen")
+def _conv_block_eval_frozen():
+    # Frozen parameters, as in an attack query: only the input gradient
+    # runs, over a batch.
+    rng = np.random.default_rng(67)
+    block = nn.ConvBlock(2, 3, kernel_size=3, stride=2, rng=rng)
+    block.bn.running_mean[...] = rng.normal(scale=0.5, size=3)
+    block.bn.running_var[...] = rng.uniform(0.5, 2.0, size=3)
+    block.bn.gamma.data[...] = rng.normal(1.0, 0.3, size=3)
+    block.bn.beta.data[...] = rng.normal(size=3)
+    block.eval()
+    x = Tensor(rng.normal(size=(3, 2, 5, 7)), requires_grad=True)
+
+    def forward() -> Tensor:
+        with block.frozen():
+            return _weighted_sum(block(x), np.random.default_rng(68))
+
+    return forward, [("x", x)]
+
+
 @case("sequential_flatten")
 def _sequential_flatten():
     rng = np.random.default_rng(63)

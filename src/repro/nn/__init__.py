@@ -8,7 +8,7 @@ against central finite differences in ``tests/nn``), which matters because
 the paper's strongest attacks are gradient-based.
 """
 
-from . import functional, init, losses, optim, serialize
+from . import functional, init, losses, native, optim, serialize
 from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, ConvBlock,
                      Dropout, Flatten, LeakyReLU, Linear, MaxPool2d, Module,
                      ReLU, Sequential, SiLU, Tanh)
@@ -16,6 +16,8 @@ from .optim import SGD, Adam, AdamW, CosineSchedule, StepSchedule, clip_grad_nor
 from .tensor import (Tensor, capture_rng, concatenate, default_dtype,
                      no_grad, precision, restore_rng, set_default_dtype,
                      stack, where)
+
+native.keep_freed_memory()
 
 __all__ = [
     "Tensor", "concatenate", "stack", "where",

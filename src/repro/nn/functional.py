@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _op, _unbroadcast, default_dtype
+from .tensor import (Tensor, _op, _unbroadcast, default_dtype,
+                     grad_enabled)
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -42,14 +43,22 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
         x = padded
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
-    stride_n, stride_c, stride_h, stride_w = x.strides
-    shape = (n, c, kh, kw, out_h, out_w)
-    strides = (stride_n, stride_c, stride_h, stride_w, stride_h * sh, stride_w * sw)
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    patches = _patches(x, kernel, stride, (out_h, out_w))
     # Reshaping the strided view forces the copy into a dense buffer, which
     # is exactly what downstream matmuls need.
     cols = patches.reshape(n, c * kh * kw, out_h * out_w)
     return np.ascontiguousarray(cols), (out_h, out_w)
+
+
+def _patches(padded: np.ndarray, kernel: Tuple[int, int],
+             stride: Tuple[int, int], out_size: Tuple[int, int]) -> np.ndarray:
+    """The ``(N, C, kh, kw, out_h, out_w)`` strided view of the patches of
+    an already padded ``(N, C, Hp, Wp)`` image."""
+    stride_n, stride_c, stride_h, stride_w = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, shape=padded.shape[:2] + tuple(kernel) + tuple(out_size),
+        strides=(stride_n, stride_c, stride_h, stride_w,
+                 stride_h * stride[0], stride_w * stride[1]))
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
@@ -107,16 +116,17 @@ def _tap_phases(kernel: int, stride: int, pad: int, size: int,
 
 
 def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
-                    padding: Tuple[int, int]) -> Tuple[np.ndarray, int, list]:
+                    padding: Tuple[int, int]) -> Tuple[np.ndarray, list]:
     """Zero-pad ``x`` into one batch-major, row-flattened buffer.
 
-    Returns the ``(N, C, Hp*Wp)`` buffer, the span of positions every tap
-    can read within one sample, and each tap's flat offset ``i*Wp + j``.
-    Output position ``p = r*Wp + s`` of sample ``n`` of a stride-1 conv is
-    the sum over taps of ``w[:, :, i, j] @ buffer[n, :, p + offset]``; the
-    span ends at the last real output position, and positions whose column
-    runs into the padding (``s >= out_w``) are garbage and cropped by
-    :func:`_span_rows`.  With no padding the buffer is a reshape of ``x``.
+    Returns the ``(N, C, Hp*Wp)`` buffer and each tap's flat offset
+    ``i*Wp + j``.  Output position ``p = r*Wp + s`` of sample ``n`` of a
+    stride-1 conv is the sum over taps of ``w[:, :, i, j] @ buffer[n, :,
+    p + offset]``.  Every tap can read the span ``Hp*Wp - offsets[-1]``
+    of positions within one sample, which ends at the last real output
+    position; positions whose column runs into the padding
+    (``s >= out_w``) are garbage and cropped by :func:`_span_rows`.  With
+    no padding the buffer is a reshape of ``x``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -127,7 +137,7 @@ def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
         padded[:, :, ph:ph + h, pw:pw + w] = x
         x = padded
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
-    return x.reshape(n, c, hp * wp), hp * wp - offsets[-1], offsets
+    return x.reshape(n, c, hp * wp), offsets
 
 
 def _span_rows(flat: np.ndarray, out_size: Tuple[int, int],
@@ -138,6 +148,82 @@ def _span_rows(flat: np.ndarray, out_size: Tuple[int, int],
     return np.lib.stride_tricks.as_strided(
         flat, shape=flat.shape[:-1] + out_size,
         strides=flat.strides[:-1] + (row * step, step))
+
+
+def _shifted_forward(flat: np.ndarray, taps: np.ndarray, offsets: list,
+                     wp: int, out: np.ndarray,
+                     bias: Optional[np.ndarray] = None) -> None:
+    """Stride-1 conv of a :func:`_shifted_layout` buffer into ``out``.
+
+    ``taps`` is the ``(kh*kw, F, C)`` weight, ``out`` the ``(N, F, out_h,
+    out_w)`` result.  One sample at a time, so the accumulator stays in
+    cache across the taps; it is span-wide and contiguous because ``+=``
+    into a strided slice of a full-width buffer costs twice as much.
+    """
+    span = flat.shape[-1] - offsets[-1]
+    acc = np.empty((taps.shape[1], span), dtype=out.dtype)
+    product = np.empty_like(acc)
+    crop = _span_rows(acc, out.shape[2:], wp)
+    for sample, out_n in zip(flat, out):
+        np.matmul(taps[0], sample[:, :span], out=acc)
+        for tap, offset in zip(taps[1:], offsets[1:]):
+            acc += np.matmul(tap, sample[:, offset:offset + span],
+                             out=product)
+        if bias is None:
+            np.copyto(out_n, crop)
+        else:
+            np.add(crop, bias.reshape(-1, 1, 1), out=out_n)
+
+
+def _shifted_input_grad(g: np.ndarray, taps: np.ndarray, offsets: list,
+                        wp: int, padding: Tuple[int, int],
+                        grad_x: np.ndarray) -> None:
+    """Input gradient of :func:`_shifted_forward`, one sample at a time:
+    ``g`` is ``(N, F, out_h, out_w)``, written into ``grad_x`` ``(N, C, H,
+    W)``."""
+    c, h, w = grad_x.shape[1:]
+    ph, pw = padding
+    hp = h + 2 * ph
+    span = hp * wp - offsets[-1]
+    g_span = np.zeros((taps.shape[1], span), dtype=grad_x.dtype)
+    g_crop = _span_rows(g_span, g.shape[2:], wp)
+    grad = np.empty((c, hp * wp), dtype=grad_x.dtype)
+    grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
+    product = np.empty((c, span), dtype=grad_x.dtype)
+    for g_n, grad_n in zip(g, grad_x):
+        g_crop[...] = g_n
+        grad.fill(0)
+        for tap, offset in zip(taps, offsets):
+            grad[:, offset:offset + span] += np.matmul(tap.T, g_span,
+                                                       out=product)
+        grad_n[...] = grad_crop
+
+
+def _shifted_weight_grad(g: np.ndarray, flat: np.ndarray, offsets: list,
+                         kernel: Tuple[int, int], wp: int) -> np.ndarray:
+    """Weight gradient of :func:`_shifted_forward`: one K = N*Hp*Wp GEMM
+    per tap over channel-major copies.  Summing per sample would reorder
+    the float sums, and so the bits of every trained weight."""
+    n, f, out_h, out_w = g.shape
+    c, length = flat.shape[1:]
+    total = n * length
+    g_major = np.zeros((f, n, length // wp, wp), dtype=flat.dtype)
+    g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
+    g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
+    x_major = np.ascontiguousarray(flat.transpose(1, 0, 2)).reshape(c, total)
+    grad_taps = np.stack([
+        g_major @ x_major[:, offset:offset + g_major.shape[1]].T
+        for offset in offsets])
+    return grad_taps.reshape(kernel + (f, c)).transpose(2, 3, 0, 1)
+
+
+def _cols_weight_grad(g: np.ndarray, cols: np.ndarray,
+                      w_shape: Tuple[int, ...]) -> np.ndarray:
+    """Weight gradient of an im2col conv: one GEMM over the whole batch."""
+    n, f = g.shape[:2]
+    grad_w = (g.reshape(n, f, -1).transpose(1, 0, 2).reshape(f, -1)
+              @ cols.transpose(1, 0, 2).reshape(cols.shape[1], -1).T)
+    return grad_w.reshape(w_shape)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -157,28 +243,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     f, _, kh, kw = weight.shape
     ph, pw = padding
     dtype = x.data.dtype
-    shifted = stride == (1, 1)
-    if shifted:
-        hp, wp = h + 2 * ph, w + 2 * pw
-        out_h, out_w = hp - kh + 1, wp - kw + 1
-        flat, span, offsets = _shifted_layout(x.data, (kh, kw), padding)
+    if stride == (1, 1):
+        wp = w + 2 * pw
+        out = np.empty((n, f, h + 2 * ph - kh + 1, wp - kw + 1), dtype=dtype)
+        flat, offsets = _shifted_layout(x.data, (kh, kw), padding)
         taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
-        # One sample at a time, so the accumulator stays in cache across
-        # the taps; it is span-wide and contiguous because `+=` into a
-        # strided slice of a full-width buffer costs twice as much.
-        acc = np.empty((f, span), dtype=dtype)
-        product = np.empty_like(acc)
-        crop = _span_rows(acc, (out_h, out_w), wp)
-        out = np.empty((n, f, out_h, out_w), dtype=dtype)
-        for sample, out_n in zip(flat, out):
-            np.matmul(taps[0], sample[:, :span], out=acc)
-            for tap, offset in zip(taps[1:], offsets[1:]):
-                acc += np.matmul(tap, sample[:, offset:offset + span],
-                                 out=product)
-            if bias is None:
-                np.copyto(out_n, crop)
-            else:
-                np.add(crop, bias.data.reshape(f, 1, 1), out=out_n)
+        _shifted_forward(flat, taps, offsets, wp, out,
+                         None if bias is None else bias.data)
+
+        def weight_vjp(g: np.ndarray) -> np.ndarray:
+            return _shifted_weight_grad(g, flat, offsets, (kh, kw), wp)
+
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            grad_x = np.empty((n, c, h, w), dtype=dtype)
+            _shifted_input_grad(g, taps, offsets, wp, padding, grad_x)
+            return grad_x
     else:
         cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
         w2d = weight.data.reshape(f, c * kh * kw)
@@ -190,52 +269,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias is not None:
             out += bias.data.reshape(1, f, 1, 1)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    if shifted:
         def weight_vjp(g: np.ndarray) -> np.ndarray:
-            # One K = N*Hp*Wp GEMM per tap over channel-major copies:
-            # summing per sample would reorder the float sums, and so the
-            # bits of every trained weight.
-            total = n * hp * wp
-            g_major = np.zeros((f, n, hp, wp), dtype=dtype)
-            g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
-            g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
-            x_major = np.ascontiguousarray(
-                flat.transpose(1, 0, 2)).reshape(c, total)
-            grad_taps = np.stack([
-                g_major @ x_major[:, offset:offset + g_major.shape[1]].T
-                for offset in offsets])
-            return grad_taps.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
-
-        def x_vjp(g: np.ndarray) -> np.ndarray:
-            g_span = np.zeros((f, span), dtype=dtype)
-            g_crop = _span_rows(g_span, (out_h, out_w), wp)
-            grad = np.empty((c, hp * wp), dtype=dtype)
-            grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
-            product = np.empty((c, span), dtype=dtype)
-            grad_x = np.empty((n, c, h, w), dtype=dtype)
-            for g_n, grad_n in zip(g, grad_x):
-                g_crop[...] = g_n
-                grad.fill(0)
-                for tap, offset in zip(taps, offsets):
-                    grad[:, offset:offset + span] += np.matmul(
-                        tap.T, g_span, out=product)
-                grad_n[...] = grad_crop
-            return grad_x
-    else:
-        w_shape = weight.shape
-
-        def weight_vjp(g: np.ndarray) -> np.ndarray:
-            grad_w = (g.reshape(n, f, out_h * out_w).transpose(1, 0, 2)
-                      .reshape(f, -1)
-                      @ cols.transpose(1, 0, 2).reshape(c * kh * kw, -1).T)
-            return grad_w.reshape(w_shape)
+            return _cols_weight_grad(g, cols, weight.shape)
 
         def x_vjp(g: np.ndarray) -> np.ndarray:
             grad_cols = np.matmul(w2d.T, g.reshape(n, f, out_h * out_w))
             return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
                           (out_h, out_w))
 
+    parents = (x, weight) if bias is None else (x, weight, bias)
     return _op("conv2d", out.astype(dtype, copy=False), parents,
                (x_vjp, weight_vjp, lambda g: g.sum(axis=(0, 2, 3))))
 
@@ -268,6 +310,165 @@ def batch_norm_eval(x: Tensor, running_mean: np.ndarray,
                (lambda g: g * scale * inv_std,
                 lambda g: _unbroadcast(g * x_hat, shape).reshape(gamma.shape),
                 lambda g: _unbroadcast(g, shape).reshape(beta.shape)))
+
+
+def conv_block_eval(x: Tensor, weight: Tensor, stride, padding,
+                    running_mean: np.ndarray, running_var: np.ndarray,
+                    gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Eval-mode ``ConvBlock``, conv -> batch norm -> SiLU, as one tape op.
+
+    Bit-identical to :func:`conv2d` (no bias), :func:`batch_norm_eval` and
+    :meth:`Tensor.silu` in a row, but the work is done one sample at a
+    time in both passes, so each sample's conv output is normalised and
+    activated in place while it is still in cache.  The output keeps
+    :func:`conv2d`'s memory layout, ``(N, P, F)`` for strided convs,
+    because what reads the block's output (``global_avg_pool2d``'s sums)
+    adds in memory order.  The per-channel constants are tiled along the
+    rows of a sample's block, ``(out_h, out_w*F)`` or ``(F, out_h*out_w)``,
+    so no elementwise pass broadcasts over the 16-64-wide channel axis.
+    Every float op is the chain's op on the same operands in the same
+    order, and the chain's batched GEMMs already ran one GEMM per sample.
+    Only SiLU's derivative ``sig * (1 + a * (1 - sig))`` is kept for the
+    backward.  The weight, gamma and beta gradients, kept only for the
+    parameters that require grad, rebuild the whole-batch arrays the chain
+    reduces over, so they keep its bits too.
+    """
+    stride, padding = _pair(stride), _pair(padding)
+    n, c, h, w = x.shape
+    f, _, kh, kw = weight.shape
+    ph, pw = padding
+    out_h = (h + 2 * ph - kh) // stride[0] + 1
+    out_w = (w + 2 * pw - kw) // stride[1] + 1
+    dtype = x.data.dtype
+    recording = grad_enabled() and any(
+        t.requires_grad for t in (x, weight, gamma, beta))
+    channel_last = stride != (1, 1)
+    blocks = np.empty((n, out_h, out_w, f) if channel_last
+                      else (n, f, out_h, out_w), dtype=dtype)
+
+    def chain_view(a: np.ndarray) -> np.ndarray:
+        """A ``blocks``-shaped array as the chain's (N, F, H, W) array."""
+        return a.transpose(0, 3, 1, 2) if channel_last else a
+
+    def channel_rows(vectors: tuple) -> np.ndarray:
+        """Per-channel vectors, each repeated along its channel's row of
+        an ``(F, P)`` block, flattened."""
+        return np.repeat(np.stack(vectors), out_h * out_w, axis=1)
+
+    if channel_last:
+        w2d = weight.data.reshape(f, c * kh * kw)
+        cols = (im2col(x.data, (kh, kw), stride, padding)[0]
+                if recording and weight.requires_grad else None)
+        padded = np.zeros((1, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
+        patches = _patches(padded, (kh, kw), stride, (out_h, out_w))
+        sample_cols = np.empty(patches.shape, dtype=dtype)
+
+        def conv(i: int) -> None:
+            padded[0, :, ph:ph + h, pw:pw + w] = x.data[i]
+            np.copyto(sample_cols, patches)
+            np.matmul(sample_cols.reshape(-1, out_h * out_w).T, w2d.T,
+                      out=blocks[i].reshape(-1, f))
+
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            grad_cols = np.empty((n, c * kh * kw, out_h * out_w), dtype=dtype)
+            for i, block in conv_output_grads(g):
+                np.matmul(w2d.T, block.reshape(f, -1), out=grad_cols[i])
+            return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
+                          (out_h, out_w))
+
+        def weight_grad(g: np.ndarray) -> np.ndarray:
+            return _cols_weight_grad(g, cols, weight.shape)
+
+        def tiled(vectors: tuple) -> np.ndarray:
+            # One (out_w*F) row, broadcast over the block's out_h rows:
+            # tiling a whole block would cost a batch of one more than
+            # the broadcast does.
+            return np.tile(np.stack(vectors), (1, out_w))
+    else:
+        wp = w + 2 * pw
+        flat, offsets = _shifted_layout(x.data, (kh, kw), padding)
+        taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
+
+        def conv(i: int) -> None:
+            _shifted_forward(flat[i:i + 1], taps, offsets, wp,
+                             blocks[i:i + 1])
+
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            grad_x = np.empty((n, c, h, w), dtype=dtype)
+            for i, block in conv_output_grads(g):
+                _shifted_input_grad(block[None], taps, offsets, wp, padding,
+                                    grad_x[i:i + 1])
+            return grad_x
+
+        def weight_grad(g: np.ndarray) -> np.ndarray:
+            return _shifted_weight_grad(g, flat, offsets, (kh, kw), wp)
+
+        tiled = channel_rows
+
+    cdtype = default_dtype()
+    mean = np.asarray(running_mean, dtype=cdtype)
+    inv_std = np.asarray(1.0 / np.sqrt(running_var + eps), dtype=cdtype)
+    mean_t, inv_t, gamma_t, beta_t = tiled(
+        (mean, inv_std, gamma.data, beta.data))
+    rows = blocks.reshape(n, -1, mean_t.size)
+    deriv = np.empty_like(blocks) if recording else None
+    x_hat = (np.empty_like(blocks) if recording and gamma.requires_grad
+             else None)
+    sig = np.empty_like(rows[0])
+    for i, a in enumerate(rows):
+        conv(i)
+        a -= mean_t
+        a *= inv_t
+        if x_hat is not None:
+            x_hat[i] = blocks[i]
+        a *= gamma_t
+        a += beta_t
+        np.negative(a, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1
+        np.divide(1, sig, out=sig)
+        if deriv is not None:
+            d = deriv[i].reshape(a.shape)
+            np.subtract(1, sig, out=d)
+            d *= a
+            d += 1
+            d *= sig
+        a *= sig
+
+    def conv_output_grads(g: np.ndarray):
+        """Per sample, the gradient at the conv output, as the chain's
+        SiLU and BN VJPs give it, in one reused ``(F, out_h, out_w)``
+        buffer: ``g``'s layout, whatever the conv's."""
+        block = np.empty((f, out_h, out_w), dtype=dtype)
+        flat_block = block.reshape(-1)
+        gamma_f, inv_f = channel_rows((gamma.data, inv_std))
+        for i, (g_n, deriv_n) in enumerate(zip(g, chain_view(deriv))):
+            np.multiply(g_n, deriv_n, out=block)
+            flat_block *= gamma_f
+            flat_block *= inv_f
+            yield i, block
+
+    shape = (1, f, 1, 1)
+
+    def bn_output_grad(g: np.ndarray) -> np.ndarray:
+        # Times a fresh temporary, as in SiLU's VJP: numpy then writes
+        # large products into the temporary (temporary elision), and the
+        # layout it picks is the one the gamma and beta sums add in.
+        return g * chain_view(deriv).copy(order="K")
+
+    def weight_vjp(g: np.ndarray) -> np.ndarray:
+        return weight_grad(bn_output_grad(g) * gamma.data.reshape(shape)
+                           * inv_std.reshape(shape))
+
+    def gamma_vjp(g: np.ndarray) -> np.ndarray:
+        return _unbroadcast(bn_output_grad(g) * chain_view(x_hat),
+                            shape).reshape(gamma.shape)
+
+    def beta_vjp(g: np.ndarray) -> np.ndarray:
+        return _unbroadcast(bn_output_grad(g), shape).reshape(beta.shape)
+
+    return _op("conv_block_eval", chain_view(blocks), (x, weight, gamma, beta),
+               (x_vjp, weight_vjp, gamma_vjp, beta_vjp))
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:

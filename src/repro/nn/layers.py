@@ -333,4 +333,9 @@ class ConvBlock(Module):
         self.act = SiLU()
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.act(self.bn(self.conv(x)))
+        if self.training:
+            return self.act(self.bn(self.conv(x)))
+        bn = self.bn
+        return F.conv_block_eval(x, self.conv.weight, self.conv.stride,
+                                 self.conv.padding, bn.running_mean,
+                                 bn.running_var, bn.gamma, bn.beta, bn.eps)

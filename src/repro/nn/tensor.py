@@ -85,6 +85,11 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the tape (false inside :func:`no_grad`)."""
+    return _GRAD_ENABLED
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     arr = np.asarray(value, dtype=_DEFAULT_DTYPE)
     return arr

@@ -48,6 +48,8 @@ from multiprocessing import connection as mp_connection
 from typing import (TYPE_CHECKING, Callable, Deque, List, Optional, Sequence,
                     Set, Tuple, TypeVar)
 
+from ..nn import native
+
 if TYPE_CHECKING:  # imported lazily at runtime: faults.sensor needs
     from ..faults.runtime import RuntimeFaultPlan  # stable_seed from here
 
@@ -198,11 +200,13 @@ def _serve(conn, handler: Callable, targets: Callable,
            plan: "RuntimeFaultPlan") -> None:
     """Child loop: answer ``(tag, attempt, payload)`` requests until EOF/None.
 
-    The fault plan fires for each of ``targets(tag)`` at ``attempt`` before
-    the handler runs.  A failure is answered with a one-line
-    ``"<Type>: <message>"`` summary, the text the serial paths report, next
-    to the full traceback.
+    The child first drops to one BLAS thread, so N workers run N BLAS
+    threads, not N times the parent's count.  The fault plan fires for each
+    of ``targets(tag)`` at ``attempt`` before the handler runs.  A failure
+    is answered with a one-line ``"<Type>: <message>"`` summary, the text
+    the serial paths report, next to the full traceback.
     """
+    native.use_one_blas_thread()
     while True:
         try:
             request = conn.recv()

@@ -4,7 +4,9 @@
 ``DenoisingDiffusionModel.predict_noise`` enter ``no_grad``; the first two
 also switch to eval mode for the call and must switch a training model
 back even when its forward raises.  ``predict_noise`` runs its network one
-sample at a time and must equal one batched forward bit for bit.
+sample at a time and must equal one batched forward bit for bit.  The
+eval backbone, and with it the detector's head, gives each image the bits
+it gets alone.
 """
 
 import numpy as np
@@ -99,3 +101,21 @@ def test_predict_noise_of_an_empty_batch_is_empty():
     eps = prior.predict_noise(np.zeros((0, 3, 64, 128), np.float32), 3)
     assert eps.shape == (0, 3, 64, 128)
     assert eps.dtype == np.float32
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("batch", [2, 3, 8, 16])
+def test_eval_outputs_do_not_depend_on_the_batch(batch):
+    # DistanceRegressor's Linear head is what makes predict differ at
+    # batch 1, so the regressor is checked up to its backbone.
+    detector = TinyDetector(rng=np.random.default_rng(0)).eval()
+    regressor = DistanceRegressor(rng=np.random.default_rng(0)).eval()
+    rng = np.random.default_rng(batch)
+    signs = rng.random((batch, 3, 64, 64)).astype(np.float32)
+    frames = rng.random((batch, 3, 64, 128)).astype(np.float32)
+    for network, images in ((detector, signs), (regressor.backbone, frames)):
+        with no_grad():
+            batched = network(Tensor(images)).data
+            alone = [network(Tensor(image[None])).data[0] for image in images]
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(batched, alone))

@@ -1,10 +1,10 @@
 """Bit-identity of the eval-mode kernels against their earlier formulations.
 
-The eval BatchNorm op, ``col2im``'s clipped scatter into the unpadded
-gradient, ``im2col``'s zero-fill padding and the precomputed road layout
-each replace code that every cached result was produced with.  Each test
-here keeps a copy of that earlier code and asserts the new one gives the
-same bits, not just close values.
+The eval BatchNorm op, the eval ConvBlock op, ``col2im``'s clipped scatter
+into the unpadded gradient, ``im2col``'s zero-fill padding and the
+precomputed road layout each replace code that every cached result was
+produced with.  Each test here keeps a copy of that earlier code and
+asserts the new one gives the same bits, not just close values.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import driving
-from repro.nn import BatchNorm1d, BatchNorm2d, Tensor, precision
+from repro.nn import BatchNorm1d, BatchNorm2d, ConvBlock, Tensor, precision
 from repro.nn import functional as F
 
 pytestmark = pytest.mark.smoke
@@ -107,6 +107,92 @@ def test_eval_batchnorm_records_one_tape_node():
     frozen_out.backward(np.ones(frozen_out.shape))
     assert layer.gamma.grad is None and layer.beta.grad is None
     assert x.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# Eval ConvBlock
+# ---------------------------------------------------------------------------
+
+def legacy_conv_block_eval(block, x):
+    """The eval ConvBlock as the three tape ops it used to record."""
+    conv, bn = block.conv, block.bn
+    out = F.conv2d(x, conv.weight, None, conv.stride, conv.padding)
+    out = F.batch_norm_eval(out, bn.running_mean, bn.running_var, bn.gamma,
+                            bn.beta, bn.eps)
+    return out.silu()
+
+
+def make_block(stride, rng):
+    block = ConvBlock(4, 8, 3, stride=stride, rng=rng)
+    bn = block.bn
+    bn.gamma.data[...] = rng.normal(1.0, 0.5, 8)
+    bn.beta.data[...] = rng.normal(0.0, 0.5, 8)
+    bn.running_mean[...] = rng.normal(0.0, 2.0, 8)
+    bn.running_var[...] = rng.uniform(1e-4, 5.0, 8)
+    return block.eval()
+
+
+def block_pass(block, forward, x_data, g, frozen):
+    block.zero_grad()
+    x = Tensor(x_data, requires_grad=True)
+    if frozen:
+        with block.frozen():
+            out = forward(x)
+            out.backward(g)
+    else:
+        out = forward(x)
+        out.backward(g)
+    return (out.data, x.grad, block.conv.weight.grad, block.bn.gamma.grad,
+            block.bn.beta.grad)
+
+
+@pytest.mark.parametrize("channel_last", [False, True])
+@pytest.mark.parametrize("batch", [1, 2, 3, 32])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_conv_block_is_bit_identical(dtype, frozen, stride, batch,
+                                          channel_last):
+    # At batch 32 the arrays pass numpy's 256 KiB temporary-elision size,
+    # which picks the memory layout the gamma and beta sums add in.
+    rng = np.random.default_rng(batch * 4 + stride)
+    with precision(dtype):
+        block = make_block(stride, rng)
+        x_data = rng.normal(0.0, 2.0, (batch, 4, 32, 48)).astype(dtype)
+        if channel_last:
+            # Laid out as a strided conv's output, as stages 2 and 3 see.
+            x_data = np.ascontiguousarray(
+                x_data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        out_size = (32 // stride, 48 // stride)
+        g = rng.normal(size=(batch, 8) + out_size).astype(dtype)
+        new = block_pass(block, block, x_data, g, frozen)
+        old = block_pass(block, lambda x: legacy_conv_block_eval(block, x),
+                         x_data, g, frozen)
+    assert new[0].strides == old[0].strides
+    for name, got, want in zip(("out", "grad_x", "grad_weight",
+                                "grad_gamma", "grad_beta"), new, old):
+        if frozen and name not in ("out", "grad_x"):
+            assert got is None and want is None, name
+            continue
+        assert got.dtype == np.dtype(dtype), name
+        assert same_bits(got, want), name
+
+
+def test_eval_conv_block_records_one_tape_node():
+    block = ConvBlock(2, 3, 3, stride=2).eval()
+    params = (block.conv.weight, block.bn.gamma, block.bn.beta)
+    x = Tensor(np.ones((1, 2, 5, 5)), requires_grad=True)
+    out = block(x)
+    assert out._op == "conv_block_eval"
+    assert set(map(id, out._parents)) == set(map(id, (x,) + params))
+    with block.frozen():
+        frozen_out = block(x)
+    assert frozen_out._parents == (x,)
+    frozen_out.backward(np.ones(frozen_out.shape))
+    assert all(p.grad is None for p in params)
+    assert x.grad is not None
+    # Train mode keeps the conv, batch norm and SiLU ops.
+    assert block.train()(x)._op == "Tensor.silu"
 
 
 # ---------------------------------------------------------------------------

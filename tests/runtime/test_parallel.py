@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import native
 from repro.runtime import (WorkerError, env, fork_available, parallel_map,
                            stable_seed, worker_count)
 
@@ -17,6 +18,10 @@ def _square(x):
 def _cell(seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=16).astype(np.float32)
+
+
+def _blas_threads(_):
+    return native.blas_threads()
 
 
 @pytest.mark.smoke
@@ -103,6 +108,13 @@ class TestForkedPath:
         # cell that would fork (a serving replica pool) must run in process.
         assert parallel_map(lambda _: fork_available(), range(2),  # repro: noqa[R004] -- fork-start test: the closure never crosses a pickle boundary
                             workers=2) == [False, False]
+
+    def test_workers_run_one_blas_thread(self):
+        parent = native.blas_threads()
+        if parent is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        assert parallel_map(_blas_threads, range(2), workers=2) == [1, 1]
+        assert native.blas_threads() == parent
 
     def test_large_results_cross_the_queue(self):
         # Bigger than a pipe buffer, to exercise the queue feeder thread.
