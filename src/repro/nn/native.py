@@ -19,7 +19,6 @@ logs one line then.
 from __future__ import annotations
 
 import ctypes
-import glob
 import logging
 import os
 from typing import Optional
@@ -47,6 +46,8 @@ def keep_freed_memory() -> None:
 
 def _openblas_symbol(name: str):
     """``name`` from numpy's bundled ``scipy-openblas``, or ``None``."""
+    import glob  # not at module level: importing repro.nn stays cheap
+
     pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                            "numpy.libs", "libscipy_openblas64_*.so")
     for path in sorted(glob.glob(pattern)):
