@@ -7,10 +7,11 @@ Enabled with ``REPRO_SANITIZE=<modes>`` (comma-separated) or explicitly via
   pass and every op output-gradient during the backward sweep, raising
   :class:`SanitizeError` naming the originating op (the name it records
   on the tape), the named weights among its inputs and the live module
-  path (``Detector.ConvBlock.BatchNorm2d``) the moment a NaN/Inf first
-  appears, instead of letting it surface three layers later as a
-  mysteriously diverged loss.  Also arms the NaN guard
-  in :func:`repro.attacks.base.input_gradient`.
+  path (``Detector.ConvBlock.BatchNorm2d`` in train mode; an eval strided
+  ``ConvBlock`` is one ``conv_block_eval`` op under
+  ``Detector.ConvBlock``) the moment a NaN/Inf first appears, instead of
+  letting it surface three layers later as a mysteriously diverged loss.
+  Also arms the NaN guard in :func:`repro.attacks.base.input_gradient`.
 * ``alias`` — *aliasing detector*: after every ``optimizer.step()``,
   fingerprints the optimizer's scratch buffers (``_velocity``,
   ``_scratch``, ``_m``, ``_v``, ``_buf1``, ``_buf2``) against parameter

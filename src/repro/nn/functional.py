@@ -116,17 +116,16 @@ def _tap_phases(kernel: int, stride: int, pad: int, size: int,
 
 
 def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
-                    padding: Tuple[int, int]) -> Tuple[np.ndarray, list]:
+                    padding: Tuple[int, int]) -> Tuple[np.ndarray, int, list]:
     """Zero-pad ``x`` into one batch-major, row-flattened buffer.
 
-    Returns the ``(N, C, Hp*Wp)`` buffer and each tap's flat offset
-    ``i*Wp + j``.  Output position ``p = r*Wp + s`` of sample ``n`` of a
-    stride-1 conv is the sum over taps of ``w[:, :, i, j] @ buffer[n, :,
-    p + offset]``.  Every tap can read the span ``Hp*Wp - offsets[-1]``
-    of positions within one sample, which ends at the last real output
-    position; positions whose column runs into the padding
-    (``s >= out_w``) are garbage and cropped by :func:`_span_rows`.  With
-    no padding the buffer is a reshape of ``x``.
+    Returns the ``(N, C, Hp*Wp)`` buffer, the span of positions every tap
+    can read within one sample, and each tap's flat offset ``i*Wp + j``.
+    Output position ``p = r*Wp + s`` of sample ``n`` of a stride-1 conv is
+    the sum over taps of ``w[:, :, i, j] @ buffer[n, :, p + offset]``; the
+    span ends at the last real output position, and positions whose column
+    runs into the padding (``s >= out_w``) are garbage and cropped by
+    :func:`_span_rows`.  With no padding the buffer is a reshape of ``x``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -137,7 +136,7 @@ def _shifted_layout(x: np.ndarray, kernel: Tuple[int, int],
         padded[:, :, ph:ph + h, pw:pw + w] = x
         x = padded
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
-    return x.reshape(n, c, hp * wp), offsets
+    return x.reshape(n, c, hp * wp), hp * wp - offsets[-1], offsets
 
 
 def _span_rows(flat: np.ndarray, out_size: Tuple[int, int],
@@ -150,73 +149,6 @@ def _span_rows(flat: np.ndarray, out_size: Tuple[int, int],
         strides=flat.strides[:-1] + (row * step, step))
 
 
-def _shifted_forward(flat: np.ndarray, taps: np.ndarray, offsets: list,
-                     wp: int, out: np.ndarray,
-                     bias: Optional[np.ndarray] = None) -> None:
-    """Stride-1 conv of a :func:`_shifted_layout` buffer into ``out``.
-
-    ``taps`` is the ``(kh*kw, F, C)`` weight, ``out`` the ``(N, F, out_h,
-    out_w)`` result.  One sample at a time, so the accumulator stays in
-    cache across the taps; it is span-wide and contiguous because ``+=``
-    into a strided slice of a full-width buffer costs twice as much.
-    """
-    span = flat.shape[-1] - offsets[-1]
-    acc = np.empty((taps.shape[1], span), dtype=out.dtype)
-    product = np.empty_like(acc)
-    crop = _span_rows(acc, out.shape[2:], wp)
-    for sample, out_n in zip(flat, out):
-        np.matmul(taps[0], sample[:, :span], out=acc)
-        for tap, offset in zip(taps[1:], offsets[1:]):
-            acc += np.matmul(tap, sample[:, offset:offset + span],
-                             out=product)
-        if bias is None:
-            np.copyto(out_n, crop)
-        else:
-            np.add(crop, bias.reshape(-1, 1, 1), out=out_n)
-
-
-def _shifted_input_grad(g: np.ndarray, taps: np.ndarray, offsets: list,
-                        wp: int, padding: Tuple[int, int],
-                        grad_x: np.ndarray) -> None:
-    """Input gradient of :func:`_shifted_forward`, one sample at a time:
-    ``g`` is ``(N, F, out_h, out_w)``, written into ``grad_x`` ``(N, C, H,
-    W)``."""
-    c, h, w = grad_x.shape[1:]
-    ph, pw = padding
-    hp = h + 2 * ph
-    span = hp * wp - offsets[-1]
-    g_span = np.zeros((taps.shape[1], span), dtype=grad_x.dtype)
-    g_crop = _span_rows(g_span, g.shape[2:], wp)
-    grad = np.empty((c, hp * wp), dtype=grad_x.dtype)
-    grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
-    product = np.empty((c, span), dtype=grad_x.dtype)
-    for g_n, grad_n in zip(g, grad_x):
-        g_crop[...] = g_n
-        grad.fill(0)
-        for tap, offset in zip(taps, offsets):
-            grad[:, offset:offset + span] += np.matmul(tap.T, g_span,
-                                                       out=product)
-        grad_n[...] = grad_crop
-
-
-def _shifted_weight_grad(g: np.ndarray, flat: np.ndarray, offsets: list,
-                         kernel: Tuple[int, int], wp: int) -> np.ndarray:
-    """Weight gradient of :func:`_shifted_forward`: one K = N*Hp*Wp GEMM
-    per tap over channel-major copies.  Summing per sample would reorder
-    the float sums, and so the bits of every trained weight."""
-    n, f, out_h, out_w = g.shape
-    c, length = flat.shape[1:]
-    total = n * length
-    g_major = np.zeros((f, n, length // wp, wp), dtype=flat.dtype)
-    g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
-    g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
-    x_major = np.ascontiguousarray(flat.transpose(1, 0, 2)).reshape(c, total)
-    grad_taps = np.stack([
-        g_major @ x_major[:, offset:offset + g_major.shape[1]].T
-        for offset in offsets])
-    return grad_taps.reshape(kernel + (f, c)).transpose(2, 3, 0, 1)
-
-
 def _cols_weight_grad(g: np.ndarray, cols: np.ndarray,
                       w_shape: Tuple[int, ...]) -> np.ndarray:
     """Weight gradient of an im2col conv: one GEMM over the whole batch."""
@@ -227,7 +159,7 @@ def _cols_weight_grad(g: np.ndarray, cols: np.ndarray,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride=1, padding=0) -> Tensor:
+           stride=1, padding=0, bn_silu: Optional[tuple] = None) -> Tensor:
     """2-D cross-correlation, ``x``: (N,C,H,W), ``weight``: (F,C,kh,kw).
 
     Stride-1 convs run, one sample at a time, as kh*kw shifted GEMMs over
@@ -236,28 +168,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     one GEMM per tap over a channel-major copy, so its float sums keep
     their order.  Strided convs gather patches with :func:`im2col` and run
     one GEMM per pass.
+
+    ``bn_silu``, the ``(running_mean, running_var, gamma, beta, eps)`` of
+    an eval-mode batch norm, fuses that batch norm and a SiLU into a
+    strided conv without bias (:func:`_conv_block_eval`).  Eval
+    ``ConvBlock``s come in this way, so every convolution, fused or not,
+    enters through this function.
     """
     stride = _pair(stride)
     padding = _pair(padding)
+    if bn_silu is not None:
+        if stride == (1, 1) or bias is not None:
+            raise ValueError("bn_silu fuses only a strided conv without bias")
+        return _conv_block_eval(x, weight, stride, padding, *bn_silu)
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     ph, pw = padding
     dtype = x.data.dtype
-    if stride == (1, 1):
-        wp = w + 2 * pw
-        out = np.empty((n, f, h + 2 * ph - kh + 1, wp - kw + 1), dtype=dtype)
-        flat, offsets = _shifted_layout(x.data, (kh, kw), padding)
+    shifted = stride == (1, 1)
+    if shifted:
+        hp, wp = h + 2 * ph, w + 2 * pw
+        out_h, out_w = hp - kh + 1, wp - kw + 1
+        flat, span, offsets = _shifted_layout(x.data, (kh, kw), padding)
         taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
-        _shifted_forward(flat, taps, offsets, wp, out,
-                         None if bias is None else bias.data)
-
-        def weight_vjp(g: np.ndarray) -> np.ndarray:
-            return _shifted_weight_grad(g, flat, offsets, (kh, kw), wp)
-
-        def x_vjp(g: np.ndarray) -> np.ndarray:
-            grad_x = np.empty((n, c, h, w), dtype=dtype)
-            _shifted_input_grad(g, taps, offsets, wp, padding, grad_x)
-            return grad_x
+        # One sample at a time, so the accumulator stays in cache across
+        # the taps; it is span-wide and contiguous because `+=` into a
+        # strided slice of a full-width buffer costs twice as much.
+        acc = np.empty((f, span), dtype=dtype)
+        product = np.empty_like(acc)
+        crop = _span_rows(acc, (out_h, out_w), wp)
+        out = np.empty((n, f, out_h, out_w), dtype=dtype)
+        for sample, out_n in zip(flat, out):
+            np.matmul(taps[0], sample[:, :span], out=acc)
+            for tap, offset in zip(taps[1:], offsets[1:]):
+                acc += np.matmul(tap, sample[:, offset:offset + span],
+                                 out=product)
+            if bias is None:
+                np.copyto(out_n, crop)
+            else:
+                np.add(crop, bias.data.reshape(f, 1, 1), out=out_n)
     else:
         cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
         w2d = weight.data.reshape(f, c * kh * kw)
@@ -269,6 +218,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias is not None:
             out += bias.data.reshape(1, f, 1, 1)
 
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if shifted:
+        def weight_vjp(g: np.ndarray) -> np.ndarray:
+            # One K = N*Hp*Wp GEMM per tap over channel-major copies:
+            # summing per sample would reorder the float sums, and so the
+            # bits of every trained weight.
+            total = n * hp * wp
+            g_major = np.zeros((f, n, hp, wp), dtype=dtype)
+            g_major[:, :, :out_h, :out_w] = g.transpose(1, 0, 2, 3)
+            g_major = g_major.reshape(f, total)[:, :total - offsets[-1]]
+            x_major = np.ascontiguousarray(
+                flat.transpose(1, 0, 2)).reshape(c, total)
+            grad_taps = np.stack([
+                g_major @ x_major[:, offset:offset + g_major.shape[1]].T
+                for offset in offsets])
+            return grad_taps.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
+
+        def x_vjp(g: np.ndarray) -> np.ndarray:
+            g_span = np.zeros((f, span), dtype=dtype)
+            g_crop = _span_rows(g_span, (out_h, out_w), wp)
+            grad = np.empty((c, hp * wp), dtype=dtype)
+            grad_crop = grad.reshape(c, hp, wp)[:, ph:ph + h, pw:pw + w]
+            product = np.empty((c, span), dtype=dtype)
+            grad_x = np.empty((n, c, h, w), dtype=dtype)
+            for g_n, grad_n in zip(g, grad_x):
+                g_crop[...] = g_n
+                grad.fill(0)
+                for tap, offset in zip(taps, offsets):
+                    grad[:, offset:offset + span] += np.matmul(
+                        tap.T, g_span, out=product)
+                grad_n[...] = grad_crop
+            return grad_x
+    else:
         def weight_vjp(g: np.ndarray) -> np.ndarray:
             return _cols_weight_grad(g, cols, weight.shape)
 
@@ -277,7 +259,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
                           (out_h, out_w))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return _op("conv2d", out.astype(dtype, copy=False), parents,
                (x_vjp, weight_vjp, lambda g: g.sum(axis=(0, 2, 3))))
 
@@ -312,28 +293,28 @@ def batch_norm_eval(x: Tensor, running_mean: np.ndarray,
                 lambda g: _unbroadcast(g, shape).reshape(beta.shape)))
 
 
-def conv_block_eval(x: Tensor, weight: Tensor, stride, padding,
-                    running_mean: np.ndarray, running_var: np.ndarray,
-                    gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Eval-mode ``ConvBlock``, conv -> batch norm -> SiLU, as one tape op.
+def _conv_block_eval(x: Tensor, weight: Tensor, stride: Tuple[int, int],
+                     padding: Tuple[int, int], running_mean: np.ndarray,
+                     running_var: np.ndarray, gamma: Tensor, beta: Tensor,
+                     eps: float) -> Tensor:
+    """Eval-mode strided conv -> batch norm -> SiLU, as one tape op.
 
     Bit-identical to :func:`conv2d` (no bias), :func:`batch_norm_eval` and
     :meth:`Tensor.silu` in a row, but the work is done one sample at a
     time in both passes, so each sample's conv output is normalised and
     activated in place while it is still in cache.  The output keeps
-    :func:`conv2d`'s memory layout, ``(N, P, F)`` for strided convs,
-    because what reads the block's output (``global_avg_pool2d``'s sums)
-    adds in memory order.  The per-channel constants are tiled along the
-    rows of a sample's block, ``(out_h, out_w*F)`` or ``(F, out_h*out_w)``,
-    so no elementwise pass broadcasts over the 16-64-wide channel axis.
-    Every float op is the chain's op on the same operands in the same
-    order, and the chain's batched GEMMs already ran one GEMM per sample.
-    Only SiLU's derivative ``sig * (1 + a * (1 - sig))`` is kept for the
-    backward.  The weight, gamma and beta gradients, kept only for the
-    parameters that require grad, rebuild the whole-batch arrays the chain
-    reduces over, so they keep its bits too.
+    :func:`conv2d`'s ``(N, P, F)`` memory layout, because what reads the
+    block's output (``global_avg_pool2d``'s sums) adds in memory order.
+    The per-channel constants are tiled along one ``out_w*F`` row of a
+    sample's ``(out_h, out_w*F)`` block, so no elementwise pass broadcasts
+    over the 16-64-wide channel axis.  Every float op is the chain's op on
+    the same operands in the same order, and the chain's batched GEMM
+    already ran one GEMM per sample.  Only SiLU's derivative
+    ``sig * (1 + a * (1 - sig))`` is kept for the backward.  The weight,
+    gamma and beta gradients, kept only for the parameters that require
+    grad, rebuild the whole-batch arrays the chain reduces over, so they
+    keep its bits too.
     """
-    stride, padding = _pair(stride), _pair(padding)
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     ph, pw = padding
@@ -342,81 +323,32 @@ def conv_block_eval(x: Tensor, weight: Tensor, stride, padding,
     dtype = x.data.dtype
     recording = grad_enabled() and any(
         t.requires_grad for t in (x, weight, gamma, beta))
-    channel_last = stride != (1, 1)
-    blocks = np.empty((n, out_h, out_w, f) if channel_last
-                      else (n, f, out_h, out_w), dtype=dtype)
-
-    def chain_view(a: np.ndarray) -> np.ndarray:
-        """A ``blocks``-shaped array as the chain's (N, F, H, W) array."""
-        return a.transpose(0, 3, 1, 2) if channel_last else a
-
-    def channel_rows(vectors: tuple) -> np.ndarray:
-        """Per-channel vectors, each repeated along its channel's row of
-        an ``(F, P)`` block, flattened."""
-        return np.repeat(np.stack(vectors), out_h * out_w, axis=1)
-
-    if channel_last:
-        w2d = weight.data.reshape(f, c * kh * kw)
-        cols = (im2col(x.data, (kh, kw), stride, padding)[0]
-                if recording and weight.requires_grad else None)
-        padded = np.zeros((1, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
-        patches = _patches(padded, (kh, kw), stride, (out_h, out_w))
-        sample_cols = np.empty(patches.shape, dtype=dtype)
-
-        def conv(i: int) -> None:
-            padded[0, :, ph:ph + h, pw:pw + w] = x.data[i]
-            np.copyto(sample_cols, patches)
-            np.matmul(sample_cols.reshape(-1, out_h * out_w).T, w2d.T,
-                      out=blocks[i].reshape(-1, f))
-
-        def x_vjp(g: np.ndarray) -> np.ndarray:
-            grad_cols = np.empty((n, c * kh * kw, out_h * out_w), dtype=dtype)
-            for i, block in conv_output_grads(g):
-                np.matmul(w2d.T, block.reshape(f, -1), out=grad_cols[i])
-            return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
-                          (out_h, out_w))
-
-        def weight_grad(g: np.ndarray) -> np.ndarray:
-            return _cols_weight_grad(g, cols, weight.shape)
-
-        def tiled(vectors: tuple) -> np.ndarray:
-            # One (out_w*F) row, broadcast over the block's out_h rows:
-            # tiling a whole block would cost a batch of one more than
-            # the broadcast does.
-            return np.tile(np.stack(vectors), (1, out_w))
-    else:
-        wp = w + 2 * pw
-        flat, offsets = _shifted_layout(x.data, (kh, kw), padding)
-        taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
-
-        def conv(i: int) -> None:
-            _shifted_forward(flat[i:i + 1], taps, offsets, wp,
-                             blocks[i:i + 1])
-
-        def x_vjp(g: np.ndarray) -> np.ndarray:
-            grad_x = np.empty((n, c, h, w), dtype=dtype)
-            for i, block in conv_output_grads(g):
-                _shifted_input_grad(block[None], taps, offsets, wp, padding,
-                                    grad_x[i:i + 1])
-            return grad_x
-
-        def weight_grad(g: np.ndarray) -> np.ndarray:
-            return _shifted_weight_grad(g, flat, offsets, (kh, kw), wp)
-
-        tiled = channel_rows
+    w2d = weight.data.reshape(f, c * kh * kw)
+    cols = (im2col(x.data, (kh, kw), stride, padding)[0]
+            if recording and weight.requires_grad else None)
+    # One sample's padded image and its patches, reused across the batch.
+    padded = np.zeros((1, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
+    patches = _patches(padded, (kh, kw), stride, (out_h, out_w))
+    sample_cols = np.empty(patches.shape, dtype=dtype)
+    blocks = np.empty((n, out_h, out_w, f), dtype=dtype)
 
     cdtype = default_dtype()
     mean = np.asarray(running_mean, dtype=cdtype)
     inv_std = np.asarray(1.0 / np.sqrt(running_var + eps), dtype=cdtype)
-    mean_t, inv_t, gamma_t, beta_t = tiled(
-        (mean, inv_std, gamma.data, beta.data))
-    rows = blocks.reshape(n, -1, mean_t.size)
+    # One (out_w*F) row, broadcast over the block's out_h rows: tiling a
+    # whole block would cost a batch of one more than the broadcast does.
+    mean_t, inv_t, gamma_t, beta_t = np.tile(
+        np.stack((mean, inv_std, gamma.data, beta.data)), (1, out_w))
+    rows = blocks.reshape(n, out_h, out_w * f)
     deriv = np.empty_like(blocks) if recording else None
     x_hat = (np.empty_like(blocks) if recording and gamma.requires_grad
              else None)
     sig = np.empty_like(rows[0])
     for i, a in enumerate(rows):
-        conv(i)
+        padded[0, :, ph:ph + h, pw:pw + w] = x.data[i]
+        np.copyto(sample_cols, patches)
+        np.matmul(sample_cols.reshape(-1, out_h * out_w).T, w2d.T,
+                  out=blocks[i].reshape(-1, f))
         a -= mean_t
         a *= inv_t
         if x_hat is not None:
@@ -435,18 +367,26 @@ def conv_block_eval(x: Tensor, weight: Tensor, stride, padding,
             d *= sig
         a *= sig
 
-    def conv_output_grads(g: np.ndarray):
-        """Per sample, the gradient at the conv output, as the chain's
-        SiLU and BN VJPs give it, in one reused ``(F, out_h, out_w)``
-        buffer: ``g``'s layout, whatever the conv's."""
+    def nchw(a: np.ndarray) -> np.ndarray:
+        """A ``blocks``-shaped array as the chain's (N, F, H, W) array."""
+        return a.transpose(0, 3, 1, 2)
+
+    def x_vjp(g: np.ndarray) -> np.ndarray:
+        # Per sample, the gradient at the conv output, as the chain's SiLU
+        # and BN VJPs give it, in one reused (F, out_h, out_w) buffer (g's
+        # layout), then the transposed GEMM.
         block = np.empty((f, out_h, out_w), dtype=dtype)
         flat_block = block.reshape(-1)
-        gamma_f, inv_f = channel_rows((gamma.data, inv_std))
-        for i, (g_n, deriv_n) in enumerate(zip(g, chain_view(deriv))):
+        gamma_f, inv_f = np.repeat(np.stack((gamma.data, inv_std)),
+                                   out_h * out_w, axis=1)
+        grad_cols = np.empty((n, c * kh * kw, out_h * out_w), dtype=dtype)
+        for g_n, deriv_n, grad_n in zip(g, nchw(deriv), grad_cols):
             np.multiply(g_n, deriv_n, out=block)
             flat_block *= gamma_f
             flat_block *= inv_f
-            yield i, block
+            np.matmul(w2d.T, block.reshape(f, -1), out=grad_n)
+        return col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding,
+                      (out_h, out_w))
 
     shape = (1, f, 1, 1)
 
@@ -454,20 +394,20 @@ def conv_block_eval(x: Tensor, weight: Tensor, stride, padding,
         # Times a fresh temporary, as in SiLU's VJP: numpy then writes
         # large products into the temporary (temporary elision), and the
         # layout it picks is the one the gamma and beta sums add in.
-        return g * chain_view(deriv).copy(order="K")
+        return g * nchw(deriv).copy(order="K")
 
     def weight_vjp(g: np.ndarray) -> np.ndarray:
-        return weight_grad(bn_output_grad(g) * gamma.data.reshape(shape)
-                           * inv_std.reshape(shape))
+        return _cols_weight_grad(bn_output_grad(g) * gamma.data.reshape(shape)
+                                 * inv_std.reshape(shape), cols, weight.shape)
 
     def gamma_vjp(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(bn_output_grad(g) * chain_view(x_hat),
+        return _unbroadcast(bn_output_grad(g) * nchw(x_hat),
                             shape).reshape(gamma.shape)
 
     def beta_vjp(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(bn_output_grad(g), shape).reshape(beta.shape)
 
-    return _op("conv_block_eval", chain_view(blocks), (x, weight, gamma, beta),
+    return _op("conv_block_eval", nchw(blocks), (x, weight, gamma, beta),
                (x_vjp, weight_vjp, gamma_vjp, beta_vjp))
 
 

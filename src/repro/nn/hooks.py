@@ -44,6 +44,8 @@ ALIAS_CHECK: Optional[Callable[[Any], None]] = None
 
 #: class names of the modules currently on the __call__ stack, outermost
 #: first — gives sanitizer reports a "Detector.ConvBlock.BatchNorm2d" path.
+#: An eval strided ConvBlock calls no submodule: its one conv_block_eval op
+#: reports as "Detector.ConvBlock".
 MODULE_STACK: List[str] = []
 
 

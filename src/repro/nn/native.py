@@ -13,7 +13,7 @@ Two calls through ``ctypes`` (which numpy has already imported):
   parent's count.
 
 Both do nothing where the library or the symbol is missing; the BLAS call
-logs one line then.
+then logs one line in each process that makes it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
-from typing import Optional
-
 import numpy as np
 
 logger = logging.getLogger(__name__)
@@ -56,16 +54,6 @@ def _openblas_symbol(name: str):
         except (OSError, AttributeError):
             continue
     return None
-
-
-def blas_threads() -> Optional[int]:
-    """The bundled OpenBLAS's thread count, or ``None`` if not found."""
-    get = _openblas_symbol("scipy_openblas_get_num_threads64_")
-    if get is None:
-        return None
-    get.argtypes = ()
-    get.restype = ctypes.c_int
-    return int(get())
 
 
 def use_one_blas_thread() -> None:

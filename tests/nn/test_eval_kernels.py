@@ -154,7 +154,8 @@ def block_pass(block, forward, x_data, g, frozen):
 def test_eval_conv_block_is_bit_identical(dtype, frozen, stride, batch,
                                           channel_last):
     # At batch 32 the arrays pass numpy's 256 KiB temporary-elision size,
-    # which picks the memory layout the gamma and beta sums add in.
+    # which picks the memory layout the gamma and beta sums add in.  A
+    # stride-1 block runs the chain itself in eval mode too.
     rng = np.random.default_rng(batch * 4 + stride)
     with precision(dtype):
         block = make_block(stride, rng)
@@ -191,8 +192,37 @@ def test_eval_conv_block_records_one_tape_node():
     frozen_out.backward(np.ones(frozen_out.shape))
     assert all(p.grad is None for p in params)
     assert x.grad is not None
-    # Train mode keeps the conv, batch norm and SiLU ops.
+    # Train mode, and a stride-1 block in eval mode, keep the conv, batch
+    # norm and SiLU ops.
     assert block.train()(x)._op == "Tensor.silu"
+    assert ConvBlock(2, 3, 3).eval()(x)._op == "Tensor.silu"
+
+
+def test_eval_conv_block_enters_through_conv2d(monkeypatch):
+    # Profilers time every convolution by replacing F.conv2d, so the fused
+    # block must be reached through it.
+    calls = []
+    conv2d = F.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append("bn_silu" in kwargs)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(F, "conv2d", counted)
+    ConvBlock(2, 3, 3, stride=2).eval()(Tensor(np.ones((1, 2, 5, 5))))
+    assert calls == [True]
+
+
+def test_conv2d_fuses_batch_norm_only_into_a_strided_conv_without_bias():
+    block = make_block(2, np.random.default_rng(0))
+    bn = block.bn
+    bn_silu = (bn.running_mean, bn.running_var, bn.gamma, bn.beta, bn.eps)
+    x = Tensor(np.ones((1, 4, 6, 6), np.float32))
+    with pytest.raises(ValueError, match="strided"):
+        F.conv2d(x, block.conv.weight, None, 1, 1, bn_silu=bn_silu)
+    with pytest.raises(ValueError, match="bias"):
+        F.conv2d(x, block.conv.weight, Tensor(np.zeros(8, np.float32)), 2,
+                 1, bn_silu=bn_silu)
 
 
 # ---------------------------------------------------------------------------
